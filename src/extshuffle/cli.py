@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success or a passing check, 1 on a failing check or a
 divergent/non-converged result, 2 on usage errors (including unparseable
-arguments).  All data output is deterministic given the flags.
+arguments, and inputs too large for the process to compute).  All data
+output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
 
     numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cutoff cap")
+    numeric.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cutoff cap, above 1024")
 
     p = sub.add_parser("shuffle", parents=[json_flag], help="extended shuffle product")
     p.add_argument("a", help="composition, e.g. '[1,-2]' or '1'")
@@ -275,6 +276,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, TypeError) as exc:
         # bad arguments of any kind are usage errors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # an input too large for this process is a usage error, not a crash
+        print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

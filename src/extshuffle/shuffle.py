@@ -1,27 +1,60 @@
-"""The extended shuffle product on integer compositions.
+"""The extended shuffle product on integer compositions and Chen symbols.
 
-The product is total on all integer compositions and is determined by a
-five-case recursion on the pair of leading entries ``(s1, t1)``:
+The product is total on all integer compositions.  ``J`` decrements the
+first entry and ``I`` increments it; the product is the unique one for which
+the unit is a two-sided identity, zero-prefixed factors peel off, ``J`` is a
+derivation (the Leibniz rule ``J(a x b) = J(a) x b + a x J(b)``) and
+positive leading entries obey the weight-zero Rota-Baxter shape
+``a x b = I(a x J(b)) + I(J(a) x b)``.
 
-* Case 1 (``s1 == 0``): peel the zero, ``[0,s'] x [t] = [0, s' x [t]]``.
-* Case 2 (``s1 > 0, t1 == 0``): peel the zero on the right symmetrically.
-* Case 3 (``s1 > 0, t1 > 0``): recurse on ``s1 + t1`` through ``op_I``,
-  the Rota-Baxter (integration-by-parts) shape
-  ``a x b = I(a x J(b)) + I(J(a) x b)``.
-* Case 4 (``s1 > 0, t1 < 0``): recurse on ``|t1|`` through ``op_J``,
-  rearranging the Leibniz rule ``J(a x b) = J(a) x b + a x J(b)``.
-* Case 5 (``s1 < 0``): recurse on ``|s1|``, Leibniz on the left.
+Write ``a = [s1,a']``, ``b = [t1,b']``, ``m = -s1`` and ``n = -t1``.  Besides
+the two zero-peeling cases, ``[0,a'] x b = [0, a' x b]`` and, for
+``s1 > 0``, ``a x [0,b'] = [0, a x b']``, the Leibniz rule and the
+Rota-Baxter shape each fold into binomial sums over the leading entries:
 
-The unit is a two-sided identity, every result term has depth equal to the
-sum of the factors' depths, and the restriction to compositions with all
+* ``s1 < 0``: ``sum_{k=0..m} (-1)^k C(m,k) J^(m-k) [0, a' x J^k(b)]``.
+  This is the Leibniz rule solved for ``a = J^m [0,a']``.
+* ``s1 > 0, t1 < 0``::
+
+      sum_{k=0..min(s1-1,n)} (-1)^k C(n,k) J^(n-k) [0, J^k(a) x b']
+    + (-1)^s1 sum_{j=0..n-s1} C(n-1-j, s1-1) J^(n-s1-j) [0, a' x [-j,b']]
+
+  The Leibniz rule solved for ``b = J^n [0,b']`` gives
+  ``sum_k (-1)^k C(n,k) J^(n-k) (J^k(a) x [0,b'])``.  Its terms with
+  ``k < s1`` peel the zero of ``[0,b']``; those with ``k >= s1`` expand by
+  the ``s1 < 0`` sum into shifts ``J^(n-s1-j)`` that do not depend on ``k``,
+  and their binomials sum to the closed form above.  So no two terms cancel
+  and no pair of the same depth sum is visited.
+* ``s1, t1 > 0``, Euler's decomposition as generalized by Guo and Xie
+  ("Explicit double shuffle relations and a generalization of Euler's
+  decomposition formula", J. Algebra 2013), which sums the Rota-Baxter
+  recursion over its lattice paths down to a zero leading entry::
+
+      sum_{j=1..t1} C(s1-1+t1-j, s1-1) I^(s1+t1-j) [0, a' x [j,b']]
+    + sum_{i=1..s1} C(t1-1+s1-i, t1-1) I^(s1+t1-i) [0, [i,a'] x b']
+
+The product is not commutative, so the ``t1 < 0`` sums are not the
+``s1 < 0`` sum with the factors swapped.
+
+Termination: every case recurses only on pairs whose depth sum is one less,
+so the recursion descends by depth only.  Its depth is bounded by the depth
+sum whatever the size of the entries, and each sum visits a number of pairs
+linear in the leading entries.  Every result term has depth equal to the sum
+of the factors' depths, and the restriction to compositions with all
 entries >= 1 agrees with the classical word shuffle pulled back along the
 encoding ``rho`` (implemented independently below as an oracle).
 
-Basis products have integer coefficients; they are memoized, and the cache
-is safe to share between threads (a lost race only recomputes a value).
+One engine serves compositions and Chen symbols.  It works on pairs
+``(exponents, labels)``, whose label row rides along: each zero peeled off
+a factor keeps that factor's first label.  A composition is a symbol with
+an empty label row, for which ``labels[:1]`` is empty too.  Basis products
+have integer coefficients; they are memoized, and the caches are safe to
+share between threads (a lost race only recomputes a value).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .algebra import Composition, LinComb, composition
 
@@ -34,81 +67,87 @@ X0, X1 = 0, 1
 # ---------------------------------------------------------------------------
 # extended shuffle product
 
-
-def _measure(a, b):
-    """Termination measure: (depth sum, per-case recursion quantity).
-
-    Strictly decreases lexicographically at every recursive call of
-    ``_basis_product``, which makes the well-foundedness of the five-case
-    recursion executable as an assertion.
-    """
-    if not a or not b:
-        return (len(a) + len(b), 0)
-    s1, t1 = a[0], b[0]
-    if s1 == 0 or (s1 > 0 and t1 == 0):
-        return (len(a) + len(b), 0)
-    if s1 > 0 and t1 > 0:
-        return (len(a) + len(b), s1 + t1)
-    if s1 > 0:
-        return (len(a) + len(b), -t1)
-    return (len(a) + len(b), -s1)
+_product_cache: dict = {}
 
 
-def _add_into(acc, other, sign=1):
-    for comp, coef in other.items():
-        c = acc.get(comp, 0) + sign * coef
-        if c:
-            acc[comp] = c
-        else:
-            del acc[comp]
-    return acc
+def _product(a, b):
+    """Product of two ``(exponents, labels)`` pairs, as a map from such pairs
+    to nonzero integer coefficients; never mutated once built."""
+    try:
+        return _product_cache[a, b]
+    except KeyError:
+        pass
+    result = _compute_product(a, b)
+    _product_cache[a, b] = result
+    return result
 
 
-def _shift_first(d, delta):
-    # first-entry shift is injective on compositions, so no merging happens
-    return {(comp[0] + delta,) + comp[1:]: coef for comp, coef in d.items()}
+def _put(out, coef, head, lab, terms):
+    """Store ``coef * [head, terms]`` in ``out``, with ``lab`` leading the
+    label rows; the new keys must not be in ``out`` yet."""
+    for (e, l), c in terms.items():
+        out[head + e, lab + l] = coef * c
+    return out
+
+
+def _compute_product(a, b):
+    (s, u), (t, v) = a, b
+    if not s:
+        return {b: 1}
+    if not t:
+        return {a: 1}
+    s1, t1 = s[0], t[0]
+    left, left_lab = (s[1:], u[1:]), u[:1]
+    right, right_lab = (t[1:], v[1:]), v[:1]
+    out = {}
+    # every call below has a smaller depth sum (the termination measure);
+    # within each sum the heads differ, and so do the keys
+    if s1 == 0:
+        return _put(out, 1, (0,), left_lab, _product(left, b))
+    if s1 < 0:
+        m = -s1
+        for k in range(m + 1):
+            ck = (-1) ** k * comb(m, k)
+            _put(out, ck, (k - m,), left_lab, _product(left, ((t1 - k,) + t[1:], v)))
+        return out
+    if t1 == 0:
+        return _put(out, 1, (0,), right_lab, _product(a, right))
+    if t1 < 0:
+        # the first sum's heads are below s1 - n, the second's are not
+        n = -t1
+        for k in range(min(s1 - 1, n) + 1):
+            ck = (-1) ** k * comb(n, k)
+            _put(out, ck, (k - n,), right_lab, _product(((s1 - k,) + s[1:], u), right))
+        for j in range(n - s1 + 1):
+            cj = (-1) ** s1 * comb(n - 1 - j, s1 - 1)
+            _put(out, cj, (s1 + j - n,), left_lab, _product(left, ((-j,) + t[1:], v)))
+        return out
+    w = s1 + t1
+    for j in range(1, t1 + 1):
+        cj = comb(w - j - 1, s1 - 1)
+        _put(out, cj, (w - j,), left_lab, _product(left, ((j,) + t[1:], v)))
+    # the two sums share heads, so with empty label rows their terms merge
+    for i in range(1, s1 + 1):
+        ci = comb(w - i - 1, t1 - 1)
+        head = (w - i,)
+        for (e, l), c in _product(((i,) + s[1:], u), right).items():
+            key = (head + e, right_lab + l)
+            out[key] = out.get(key, 0) + ci * c
+    return {key: c for key, c in out.items() if c}
 
 
 _shuffle_cache: dict = {}
 
 
 def _basis_product(a, b):
+    """``_product`` on two compositions, with the empty label rows stripped."""
     try:
         return _shuffle_cache[a, b]
     except KeyError:
         pass
-    result = _compute_product(a, b)
+    result = {e: c for (e, _), c in _product((a, ()), (b, ())).items()}
     _shuffle_cache[a, b] = result
     return result
-
-
-def _compute_product(a, b):
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
-    here = _measure(a, b)
-
-    def rec(u, v):
-        assert _measure(u, v) < here, "recursion measure failed to decrease"
-        return _basis_product(u, v)
-
-    s1, t1 = a[0], b[0]
-    if s1 == 0:
-        return {(0,) + comp: coef for comp, coef in rec(a[1:], b).items()}
-    if s1 > 0:
-        if t1 == 0:
-            return {(0,) + comp: coef for comp, coef in rec(a, b[1:]).items()}
-        if t1 > 0:
-            acc = dict(rec(a, (t1 - 1,) + b[1:]))
-            _add_into(acc, rec((s1 - 1,) + a[1:], b))
-            return _shift_first(acc, +1)
-        # t1 < 0
-        acc = _shift_first(rec(a, (t1 + 1,) + b[1:]), -1)
-        return _add_into(acc, rec((s1 - 1,) + a[1:], (t1 + 1,) + b[1:]), -1)
-    # s1 < 0
-    acc = _shift_first(rec((s1 + 1,) + a[1:], b), -1)
-    return _add_into(acc, rec((s1 + 1,) + a[1:], (t1 - 1,) + b[1:]), -1)
 
 
 def ext_shuffle(a: Composition, b: Composition) -> LinComb:

@@ -3,13 +3,17 @@
 A Chen symbol ``<s1,...,sk; u1,...,uk>`` pairs an integer composition (top
 row) with pairwise-distinct positive integer labels (bottom row).  Symbols
 with disjoint label sets are *independent*; only independent symbols may be
-multiplied.  The product mirrors the extended shuffle recursion on the top
-row while the label rows interleave, so every result term's label row is a
-shuffle of the two input label rows.  Dropping the label row projects back
-onto the composition algebra.
+multiplied.  The locality product is the extended shuffle engine of
+:mod:`extshuffle.shuffle` run on the symbol's two rows: the top row follows
+its three closed-form sums (the Leibniz rule solved for a negative leading
+entry on either side, and the generalized Euler decomposition for two
+positive ones), which descend by depth only, and each zero peeled off a
+factor keeps that factor's first label.  So every result term's label row is
+a shuffle of the two input label rows, and dropping the label rows projects
+back onto the composition algebra.
 
-Basis products are memoized under the same contract as the composition
-product: values are immutable and the cache tolerates concurrent use.
+Basis products share the engine's memo and its contract: values are
+immutable and the cache tolerates concurrent use.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LinComb, _TermSum, format_composition
+from .shuffle import _product
 
 
 @dataclass(frozen=True)
@@ -101,83 +106,6 @@ def make_independent(a: ChenSymbol, b: ChenSymbol) -> ChenSymbol:
     return ChenSymbol(b.exponents, tuple(range(floor + 1, floor + 1 + b.depth)))
 
 
-# ---------------------------------------------------------------------------
-# the locality product, internally on (exponents, labels) tuple pairs
-
-_symbol_cache: dict = {}
-
-
-def _measure(s, t):
-    # same termination measure as the composition-level recursion
-    if not s or not t:
-        return (len(s) + len(t), 0)
-    s1, t1 = s[0], t[0]
-    if s1 == 0 or (s1 > 0 and t1 == 0):
-        return (len(s) + len(t), 0)
-    if s1 > 0 and t1 > 0:
-        return (len(s) + len(t), s1 + t1)
-    if s1 > 0:
-        return (len(s) + len(t), -t1)
-    return (len(s) + len(t), -s1)
-
-
-def _shift_first(d, delta):
-    return {((exp[0] + delta,) + exp[1:], lab): coef for (exp, lab), coef in d.items()}
-
-
-def _add_into(acc, other, sign=1):
-    for term, coef in other.items():
-        c = acc.get(term, 0) + sign * coef
-        if c:
-            acc[term] = c
-        else:
-            del acc[term]
-    return acc
-
-
-def _symbol_basis_product(su, tv):
-    try:
-        return _symbol_cache[su, tv]
-    except KeyError:
-        pass
-    result = _compute_symbol_product(su, tv)
-    _symbol_cache[su, tv] = result
-    return result
-
-
-def _compute_symbol_product(su, tv):
-    s, u = su
-    t, v = tv
-    if not s:
-        return {tv: 1}
-    if not t:
-        return {su: 1}
-    here = _measure(s, t)
-
-    def rec(left, right):
-        assert _measure(left[0], right[0]) < here, "recursion measure failed to decrease"
-        return _symbol_basis_product(left, right)
-
-    s1, t1 = s[0], t[0]
-    if s1 == 0:
-        sub = rec((s[1:], u[1:]), tv)
-        return {((0,) + exp, (u[0],) + lab): coef for (exp, lab), coef in sub.items()}
-    if s1 > 0:
-        if t1 == 0:
-            sub = rec(su, (t[1:], v[1:]))
-            return {((0,) + exp, (v[0],) + lab): coef for (exp, lab), coef in sub.items()}
-        if t1 > 0:
-            acc = dict(rec(su, ((t1 - 1,) + t[1:], v)))
-            _add_into(acc, rec(((s1 - 1,) + s[1:], u), tv))
-            return _shift_first(acc, +1)
-        # t1 < 0
-        acc = _shift_first(rec(su, ((t1 + 1,) + t[1:], v)), -1)
-        return _add_into(acc, rec(((s1 - 1,) + s[1:], u), ((t1 + 1,) + t[1:], v)), -1)
-    # s1 < 0
-    acc = _shift_first(rec(((s1 + 1,) + s[1:], u), tv), -1)
-    return _add_into(acc, rec(((s1 + 1,) + s[1:], u), ((t1 - 1,) + t[1:], v)), -1)
-
-
 def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
     """Locality product of two independent Chen symbols.
 
@@ -188,7 +116,7 @@ def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
     if not independent(a, b):
         shared = sorted(set(a.labels) & set(b.labels))
         raise ValueError(f"symbols are not independent, shared labels {shared}")
-    raw = _symbol_basis_product((a.exponents, a.labels), (b.exponents, b.labels))
+    raw = _product((a.exponents, a.labels), (b.exponents, b.labels))
     return SymbolLinComb._from_clean(
         {ChenSymbol(exp, lab): coef for (exp, lab), coef in raw.items()}
     )

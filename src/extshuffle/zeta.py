@@ -23,6 +23,7 @@ empiricism explicit; slowly converging points are expected to report
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,16 +118,23 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
 
     Stops once successive estimates differ by less than ``tol / 2`` or the
     cutoff cap is exceeded; the cap case is reported as ``converged=False``,
-    not an exception.
+    not an exception.  ``tol`` must be positive and finite, and ``max_n``
+    must exceed the first cutoff ``2**10``, so that there are at least two
+    estimates to compare; otherwise ``ValueError``.
     """
     comp = composition(comp)
     _require_convergent(comp)
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_n <= _START_N:
+        raise ValueError(
+            f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
+            f"can be compared; got {max_n}"
+        )
     if not comp:
         return ZetaEstimate(1.0, 0, 0.0, True)
 
-    checkpoints = [min(_START_N, max_n)]
+    checkpoints = [_START_N]
     while checkpoints[-1] < max_n:
         checkpoints.append(min(2 * checkpoints[-1], max_n))
 

@@ -179,6 +179,58 @@ def test_relations_json(capsys):
     assert first["residual"] < 1e-4 + first["est_error"]
 
 
+@pytest.mark.parametrize("max_n", ["-5", "0", "1024"])
+def test_zeta_cap_without_two_checkpoints_is_usage_error(capsys, max_n):
+    code, out, err = run(capsys, "zeta", "[2]", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_n" in err
+
+
+def test_verify_infinite_tolerance_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "[2]", "[3]", "--tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tolerance" in err
+
+
+def test_verify_zero_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "[2]", "[3]", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_n" in err
+
+
+def test_large_entries_compute(capsys):
+    code, out, _ = run(capsys, "shuffle", "[200]", "[200]")
+    assert code == 0
+    assert len(out.strip().split(" + ")) == 200
+    code, out, _ = run(capsys, "symbol-product", "<[1000];[1]>", "<[-1000];[2]>", "--json")
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 1001
+
+
+@pytest.mark.parametrize(
+    "target, fault, argv",
+    [
+        ("ext_shuffle", RecursionError, ["shuffle", "[1]", "[2]"]),
+        ("symbol_product", MemoryError, ["symbol-product", "<[1];[1]>", "<[1];[2]>"]),
+        ("verify_homomorphism", RecursionError, ["verify", "[2]", "[3]"]),
+    ],
+)
+def test_exhausted_resources_are_one_line_usage_errors(capsys, monkeypatch, target, fault, argv):
+    def exhausted(*args, **kwargs):
+        raise fault()
+
+    monkeypatch.setattr(f"extshuffle.cli.{target}", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fault.__name__ in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,0 +1,220 @@
+"""The closed-form product engine against independent references.
+
+The references are the unit-step five-case recursion (``reference_product``),
+the classical word shuffle, Euler's decomposition formula and the exact
+values of Chen fractions.  Large entries are where the engine departs from
+the unit-step recursion: its recursion descends by depth only.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+from math import comb
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from conftest import compositions
+from reference_product import reference_product, reference_shuffle
+from extshuffle import (
+    ChenFraction,
+    ChenSymbol,
+    LinComb,
+    SymbolLinComb,
+    UNIT,
+    evaluate,
+    ext_shuffle,
+    ext_shuffle_lin,
+    fraction_product,
+    op_J,
+    phi_project,
+    rho_encode,
+    symbol_product,
+    word_shuffle,
+)
+from test_symbols import _is_shuffle_of, symbol_pairs
+
+
+def terms(x) -> dict:
+    return dict(x.items())
+
+
+def lift(a, b):
+    """``a`` and ``b`` as independent Chen symbols, labels 1.. then onwards."""
+    return (
+        ChenSymbol(a, tuple(range(1, len(a) + 1))),
+        ChenSymbol(b, tuple(range(len(a) + 1, len(a) + len(b) + 1))),
+    )
+
+
+def euler_decomposition(s, t):
+    """``[s] x [t]`` for ``s, t >= 1`` by Euler's formula
+    ``sum_j (C(j-1, s-1) + C(j-1, t-1)) [j, s+t-j]``."""
+    out = {}
+    for j in range(1, s + t):
+        c = comb(j - 1, s - 1) + comb(j - 1, t - 1)
+        if c:
+            out[(j, s + t - j)] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# agreement with the unit-step recursion and the word shuffle, small entries
+
+
+@given(compositions(-6, 6, 3), compositions(-6, 6, 3))
+def test_engine_matches_reference_recursion(a, b):
+    assert terms(ext_shuffle(a, b)) == reference_shuffle(a, b)
+
+
+@given(compositions(1, 6, 3), compositions(1, 6, 3))
+def test_engine_matches_word_shuffle(a, b):
+    assume(sum(a) + sum(b) <= 18)
+    encoded = {rho_encode(comp): c for comp, c in ext_shuffle(a, b).items()}
+    assert encoded == word_shuffle(rho_encode(a), rho_encode(b))
+
+
+@given(symbol_pairs(min_entry=-6, max_entry=6))
+def test_symbol_engine_matches_reference_recursion(pair):
+    a, b = pair
+    result = symbol_product(a, b)
+    expected = reference_product((a.exponents, a.labels), (b.exponents, b.labels))
+    assert {(sym.exponents, sym.labels): c for sym, c in result.items()} == expected
+    assert terms(phi_project(result)) == reference_shuffle(a.exponents, b.exponents)
+    for sym in result.support():
+        assert _is_shuffle_of(sym.labels, a.labels, b.labels)
+
+
+@given(symbol_pairs(min_entry=1, max_entry=6))
+def test_symbol_engine_projects_onto_word_shuffle(pair):
+    a, b = pair
+    assume(sum(a.exponents) + sum(b.exponents) <= 18)
+    projected = phi_project(symbol_product(a, b))
+    encoded = {rho_encode(comp): c for comp, c in projected.items()}
+    assert encoded == word_shuffle(rho_encode(a.exponents), rho_encode(b.exponents))
+
+
+# ---------------------------------------------------------------------------
+# laws at depth-1 factors with entries up to 1000
+
+big = st.integers(-1000, 1000)
+big_positive = st.integers(1, 1000)
+
+
+@given(big, big)
+def test_depth_additivity_at_large_entries(s, t):
+    product = ext_shuffle((s,), (t,))
+    assert product
+    assert all(len(comp) == 2 for comp in product.support())
+
+
+@given(big)
+def test_unit_laws_at_large_entries(s):
+    assert ext_shuffle(UNIT, (s,)) == LinComb.basis((s,))
+    assert ext_shuffle((s,), UNIT) == LinComb.basis((s,))
+    sym = ChenSymbol((s,), (1,))
+    unit = ChenSymbol(UNIT, ())
+    assert symbol_product(unit, sym) == SymbolLinComb.basis(sym)
+    assert symbol_product(sym, unit) == SymbolLinComb.basis(sym)
+
+
+@given(big_positive, big_positive)
+def test_coefficient_sum_counts_interleavings(s, t):
+    assert sum(c for _, c in ext_shuffle((s,), (t,)).items()) == comb(s + t, s)
+
+
+@given(big_positive, big_positive)
+def test_euler_decomposition_at_large_entries(s, t):
+    assert terms(ext_shuffle((s,), (t,))) == euler_decomposition(s, t)
+
+
+@given(big, big)
+def test_leibniz_rule_at_large_entries(s, t):
+    lhs = op_J(ext_shuffle((s,), (t,)))
+    rhs = ext_shuffle((s - 1,), (t,)) + ext_shuffle((s,), (t - 1,))
+    assert lhs == rhs
+
+
+@given(st.integers(-250, 250), st.integers(-250, 250))
+def test_symbol_lift_is_pointwise_product_at_large_entries(s, t):
+    # an independent semantic check, as Chen fractions evaluate exactly; the
+    # exact rationals grow with the entries, hence the smaller range
+    fa, fb = ChenFraction((s,), (1,)), ChenFraction((t,), (2,))
+    point = {1: Fraction(2, 3), 2: Fraction(5, 7)}
+    value = evaluate(fraction_product(fa, fb), point)
+    assert value == evaluate(fa, point) * evaluate(fb, point)
+
+
+# ---------------------------------------------------------------------------
+# regressions: these pairs exhausted the unit-step recursion's depth
+
+
+def test_large_positive_pair():
+    assert terms(ext_shuffle((200,), (200,))) == euler_decomposition(200, 200)
+
+
+def test_large_mixed_sign_pair():
+    product = ext_shuffle((1000,), (-1000,))
+    assert len(product) == 1001
+    assert all(len(comp) == 2 for comp in product.support())
+    # the Leibniz rule solved for J^1000 on the right factor
+    expected = {(k - 1000, 1000 - k): (-1) ** k * comb(1000, k) for k in range(1001)}
+    assert terms(product) == expected
+    assert op_J(product) == ext_shuffle((999,), (-1000,)) + ext_shuffle((1000,), (-1001,))
+
+
+def test_large_pairs_lift_to_symbols_and_fractions():
+    point = {1: Fraction(2, 3), 2: Fraction(5, 7)}
+    for a, b in [((200,), (200,)), ((1000,), (-1000,))]:
+        sa, sb = lift(a, b)
+        result = symbol_product(sa, sb)
+        assert phi_project(result) == ext_shuffle(a, b)
+        for sym in result.support():
+            assert _is_shuffle_of(sym.labels, sa.labels, sb.labels)
+        # the symbol product is the pointwise product of Chen fractions
+        fa, fb = ChenFraction(a, sa.labels), ChenFraction(b, sb.labels)
+        assert evaluate(fraction_product(fa, fb), point) == evaluate(fa, point) * evaluate(
+            fb, point
+        )
+
+
+def test_large_pairs_stay_bilinear():
+    x = LinComb.basis((200,)) + 2 * LinComb.basis((1000,))
+    y = LinComb.basis((-1000,))
+    assert ext_shuffle_lin(x, y) == ext_shuffle((200,), (-1000,)) + 2 * ext_shuffle(
+        (1000,), (-1000,)
+    )
+
+
+def test_shared_memo_under_concurrent_cold_use():
+    # compositions and symbols share one memo; threads fill it from cold, on
+    # pairs no other test uses, and a lost race may only recompute a value
+    pairs = [((7, -8, 2), (-9, 7)), ((-8, 7), (8, -7, 1)), ((9, 0, -7), (7, 8))]
+    symbols = [lift(a, b) for a, b in pairs]
+    results = [None] * 12
+
+    def worker(slot):
+        results[slot] = (
+            [terms(ext_shuffle(a, b)) for a, b in pairs],
+            [terms(symbol_product(sa, sb)) for sa, sb in reversed(symbols)][::-1],
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [reference_shuffle(a, b) for a, b in pairs]
+    expected_symbols = []
+    for sa, sb in symbols:
+        raw = reference_product((sa.exponents, sa.labels), (sb.exponents, sb.labels))
+        expected_symbols.append({ChenSymbol(e, l): c for (e, l), c in raw.items()})
+    for compositions_row, symbols_row in results:
+        assert compositions_row == expected
+        assert symbols_row == expected_symbols

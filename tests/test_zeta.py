@@ -106,6 +106,28 @@ def test_zeta_validation():
         zeta((2,), -1e-6)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
+def test_zeta_rejects_tolerance_that_cannot_stop_honestly(tol):
+    for comp in [(2,), UNIT]:
+        with pytest.raises(ValueError, match="tolerance"):
+            zeta(comp, tol)
+
+
+@pytest.mark.parametrize("max_n", [-5, 0, 1, 1024])
+def test_zeta_rejects_cap_with_fewer_than_two_checkpoints(max_n):
+    for comp in [(2,), UNIT]:
+        with pytest.raises(ValueError, match="max_n"):
+            zeta(comp, 1e-6, max_n=max_n)
+    with pytest.raises(ValueError, match="max_n"):
+        verify_homomorphism((2,), (3,), 1e-4, max_n=max_n)
+
+
+def test_zeta_smallest_cap_compares_two_estimates():
+    est = zeta((2,), 1e-12, max_n=1025)
+    assert est.cutoff == 1025
+    assert 0 < est.est_error < float("inf")
+
+
 def test_zeta_reports_nonconvergence_at_cap():
     est = zeta((2,), 1e-12, max_n=1 << 12)
     assert not est.converged
