@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 on success or a passing check, 1 on a failing check or a
-divergent/non-converged result, 2 on usage errors (including unparseable
-arguments, and inputs too large for the process to compute).  All data
-output is deterministic given the flags.
+Exit codes: 0 on success or a passing check; 1 on a failing check (a
+relation scan fails if any relation does), a divergent or non-converged
+result, or a reader that closed standard output early; 2 on usage errors
+(including unparseable arguments, and inputs too large for the process to
+compute).  All data output is deterministic given the flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -168,6 +170,7 @@ def _cmd_relations(args) -> int:
                             "relation": rel.difference.to_json_dict(),
                             "residual": rel.residual,
                             "est_error": rel.est_error,
+                            "passed": rel.passed,
                         }
                         for rel in scan.relations
                     ],
@@ -186,12 +189,13 @@ def _cmd_relations(args) -> int:
         for rel in scan.relations:
             print(
                 f"{rel.difference}    "
-                f"(from {_fmt(rel.a)} * {_fmt(rel.b)}, residual {rel.residual:.2e})"
+                f"(from {_fmt(rel.a)} * {_fmt(rel.b)}, residual {rel.residual:.2e}"
+                f"{'' if rel.passed else ', FAIL'})"
             )
         for sk in scan.skipped:
             terms = ", ".join(_fmt(t) for t in sk.nonconvergent_terms)
             print(f"skipped {_fmt(sk.a)} * {_fmt(sk.b)}: non-convergent terms {terms}")
-    return 0
+    return 0 if all(rel.passed for rel in scan.relations) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +276,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError, TypeError) as exc:
         # bad arguments of any kind are usage errors
         print(f"error: {exc}", file=sys.stderr)

@@ -62,11 +62,15 @@ def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRela
 
 @dataclass(frozen=True)
 class CertifiedRelation:
+    """A relation with the series of its difference: it ``passed`` when the
+    residual is within the tolerance plus the estimated error."""
+
     a: Composition
     b: Composition
     difference: LinComb
     residual: float
     est_error: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,9 @@ def enumerate_relations(
 
     Pairs are unordered (the quasi-shuffle side is symmetric) and scanned in
     canonical order, so the output is deterministic.  Each emitted relation
-    carries the numeric residual of its series and the accumulated empirical
-    error; pairs with a non-convergent product term are recorded as skipped.
+    carries the numeric residual of its series, the accumulated empirical
+    error and whether the residual is within ``tol`` plus that error; pairs
+    with a non-convergent product term are recorded as skipped.
     """
     lo, hi = entry_range
     basis = convergent_compositions(max_depth, lo, hi)
@@ -119,7 +124,10 @@ def enumerate_relations(
                 skipped.append(SkippedPair(a, b, rel.nonconvergent_terms))
                 continue
             est = zeta_of_lincomb(rel.difference, tol, max_n=max_n)
+            residual = abs(est.value)
             relations.append(
-                CertifiedRelation(a, b, rel.difference, abs(est.value), est.est_error)
+                CertifiedRelation(
+                    a, b, rel.difference, residual, est.est_error, residual <= tol + est.est_error
+                )
             )
     return RelationScan(tuple(relations), tuple(skipped))

@@ -11,23 +11,49 @@ with a cumulative dynamic program: writing ``B_0(m) = 1`` and
 the truncated sum is ``B_k(N)``.  One left-to-right sweep updates all levels
 simultaneously, so the cost is O(depth * N) instead of O(N**depth).  The
 sweep runs in blocks of vectorized arithmetic, accumulated in extended
-precision to keep roundoff far below the requested tolerances even at
-cutoffs around 10**7.
+precision where the platform has it.
 
-Error control is empirical: ``zeta`` doubles the cutoff until successive
-estimates differ by less than half the tolerance.  Negative entries make
-analytic tail majorants awkward, so the ``converged`` flag makes the
-empiricism explicit; slowly converging points are expected to report
-``converged=False`` at tight tolerances once the cutoff cap is reached.
+``zeta`` extrapolates instead of summing to a distant cutoff.  A convergent
+series with integer entries has the truncation expansion
+
+    S(N) ~ zeta + sum over i >= 1, 0 <= j < depth of c_ij (log N)**j / N**i
+
+(Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 2001; Crandall, Math.
+Comp. 1998).  One sweep to ``N = 2**10`` reads ``S`` on a geometric grid of
+about 8 points per octave from 64 to ``N``, straight out of the block's
+cumulative array, and fits the expansion by least squares, truncated after
+order ``p`` (the powers ``1/N**i`` with ``i <= p``).  The constant term of a
+fit is one dot product with a row that depends only on the grid, the depth
+and the order; those rows are computed once, in 40-digit decimal arithmetic
+because the design matrices are ill-conditioned, and cached.
+
+The error estimate compares four fits: orders ``p`` and ``p - 1``, each on
+the full grid and on the grid without its lowest quarter.  ``value`` is the
+order-``p`` fit on the full grid.  ``est_error`` is twice its largest
+disagreement with the other three, plus a rounding floor
+``||row||_1 * eps * max|S|`` for the largest row of the four.  The
+disagreement with order ``p - 1`` is about the error of order ``p - 1``, so
+twice it covers the error of order ``p`` whenever that order is at least a
+third more accurate; a single disagreement fell up to 17% short on deep
+compositions whose expansion is barely resolved.  Every order ``p >= 2``
+whose ``1 + p * depth`` unknowns are at most half the grid points (and
+``p <= 8``) is tried, and the one with the smallest ``est_error`` is kept.
+
+The estimate is ``converged`` once ``est_error < tol / 2``.  Otherwise the
+cutoff doubles, clamped to ``max_n``, the sweep continues where it stopped,
+and the grid extends to the new cutoff; ``cutoff`` is the last ``N``
+summed, and ``max_n`` is only a fallback cap.  The error estimate is
+empirical, not a proven bound.  A tolerance below the rounding floor can
+never converge, and a series whose expansion is not resolved by ``max_n``
+reports ``converged=False`` at the cap rather than raising.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
-
-import numpy as np
 
 from .algebra import Composition, LinComb, composition, depth
 from .convergence import is_convergent
@@ -36,12 +62,15 @@ from .shuffle import ext_shuffle
 DEFAULT_MAX_N = 1 << 24
 _START_N = 1 << 10
 _BLOCK = 1 << 19
-_ACC = np.longdouble  # extended-precision accumulation for the running sums
+_GRID_START = 64
+_GRID_PER_OCTAVE = 8
+_MAX_ORDER = 8
+_EPS = 2.0**-52  # float64 machine epsilon; the grid sums are read as float64
 
 
 @dataclass(frozen=True)
 class ZetaEstimate:
-    """A truncated-series value with its empirical error metadata."""
+    """A series value with its empirical error metadata."""
 
     value: float
     cutoff: int
@@ -55,9 +84,10 @@ def _require_convergent(comp):
 
 
 def _int_power(base, p):
-    """``base ** p`` for integer ``p`` by squaring; base is a float64 array."""
+    """``base ** p`` as a new array, for integer ``p``, by squaring; base is a
+    float64 array."""
     if p == 0:
-        return np.ones_like(base)
+        return base**0
     n = -p if p < 0 else p
     result = None
     square = base
@@ -67,38 +97,43 @@ def _int_power(base, p):
         n >>= 1
         if n:
             square = square * square
-    return 1.0 / result if p < 0 else result
+    if p < 0:
+        return 1.0 / result
+    return result.copy() if result is base else result
 
 
-def _partial_sums(comp, checkpoints):
-    """Yield ``(N, partial sum at N)`` for each checkpoint, in one sweep.
+def _sweep(comp, cutoffs):
+    """Yield ``(first, sums)`` block by block, in one sweep up to the last cutoff.
 
-    Term values are formed in float64 (per-term relative error does not
-    accumulate); only the running prefix sums are carried in extended
-    precision, which keeps the sequential accumulation error negligible.
+    ``sums[i]`` is the partial sum at ``n = first + i``.  Blocks end at each
+    cutoff and are at most ``_BLOCK`` long.  Term values are formed in
+    float64 (per-term relative error does not accumulate); only the running
+    prefix sums are carried in extended precision, which keeps the
+    sequential accumulation error negligible where ``np.longdouble`` is wider
+    than float64.
     """
-    k = len(comp)
+    import numpy as np
+
     powers = [-e for e in reversed(comp)]  # innermost exponent applied first
-    carry = np.zeros(k + 1, dtype=_ACC)
-    carry[0] = 1
+    carry = np.zeros(len(comp) + 1, dtype=np.longdouble)  # B_j at the block start
     pos = 0
-    for target in checkpoints:
+    for target in cutoffs:
         while pos < target:
             hi = min(pos + _BLOCK, target)
-            n = hi - pos
             ms = np.arange(pos + 1, hi + 1, dtype=np.float64)
-            prev_arr = np.ones(n, dtype=np.float64)
-            new_carry = carry.copy()
-            for j in range(1, k + 1):
-                shifted = np.empty(n, dtype=np.float64)
-                shifted[0] = float(carry[j - 1])
-                shifted[1:] = prev_arr[:-1]
-                cur_arr = carry[j] + np.cumsum(_int_power(ms, powers[j - 1]) * shifted, dtype=_ACC)
-                new_carry[j] = cur_arr[-1]
-                prev_arr = cur_arr.astype(np.float64)
-            carry = new_carry
+            level = None  # B_0 = 1 leaves the first level's terms as they are
+            for j, power in enumerate(powers, start=1):
+                terms = _int_power(ms, power)
+                if level is not None:  # times B_{j-1}(n - 1)
+                    terms[1:] *= level[:-1]
+                    terms[0] *= below
+                below = float(carry[j])
+                sums = np.cumsum(terms, dtype=np.longdouble)
+                sums += carry[j]
+                carry[j] = sums[-1]
+                level = sums.astype(np.float64)
+            yield pos + 1, level
             pos = hi
-        yield target, float(carry[k])
 
 
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
@@ -109,18 +144,108 @@ def zeta_truncated(comp: Composition, cutoff: int) -> float:
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
     if not comp:
         return 1.0
-    for _, value in _partial_sums(comp, [cutoff]):
-        return value
+    for _, sums in _sweep(comp, [cutoff]):
+        last = sums[-1]
+    return float(last)
+
+
+@lru_cache(maxsize=None)
+def _grid(cutoff):
+    """The fitting grid for ``cutoff``, a read-only integer array: about
+    ``_GRID_PER_OCTAVE`` points per octave from ``_GRID_START`` up to and
+    including ``cutoff``."""
+    import numpy as np
+
+    steps = math.floor(_GRID_PER_OCTAVE * math.log2(cutoff / _GRID_START))
+    points = {round(_GRID_START * 2 ** (i / _GRID_PER_OCTAVE)) for i in range(steps + 1)}
+    grid = np.array(sorted(p for p in points | {cutoff} if p <= cutoff))
+    grid.flags.writeable = False
+    return grid
+
+
+def _constant_rows(columns):
+    """Rows ``r_m`` such that ``r_m @ y`` is the constant term of the least-squares
+    fit of ``y`` on the first ``m`` columns, for every ``m``.
+
+    ``columns[0]`` is the constant column.  Modified Gram-Schmidt in 40-digit
+    decimals: with ``A = QR``, the constant term is ``(R^-1 Q^T y)[0]``, and
+    since ``R`` is triangular the rows for successive prefixes of the columns
+    are prefix sums of ``(R^-1)[0, c] * q_c``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        basis, weights, rows = [], [], []
+        row = [Decimal(0)] * len(columns[0])
+        for col in columns:
+            v = [Decimal(x) for x in col]
+            proj = []
+            for q in basis:
+                d = sum(a * b for a, b in zip(q, v))
+                proj.append(d)
+                v = [a - d * b for a, b in zip(v, q)]
+            norm = sum(a * a for a in v).sqrt()
+            q = [a / norm for a in v]
+            weight = ((0 if basis else 1) - sum(w * d for w, d in zip(weights, proj))) / norm
+            basis.append(q)
+            weights.append(weight)
+            row = [a + weight * b for a, b in zip(row, q)]
+            rows.append([float(a) for a in row])
+        return rows
+
+
+@lru_cache(maxsize=None)
+def _fit_rows(cutoff, k):
+    """Constant-term rows of the truncation-expansion fits for depth ``k`` at
+    ``cutoff``: ``(start, rows, norms)`` for the full grid and for the grid
+    without its lowest quarter.  ``rows[p - 1]`` is the order-``p`` row over
+    ``grid[start:]`` and ``norms`` their 1-norms.  Orders run up to the
+    largest whose ``1 + p * k`` unknowns are at most half the grid points,
+    capped at ``_MAX_ORDER``; there may be none."""
+    import numpy as np
+
+    grid = _grid(cutoff).astype(np.float64)
+    orders = min(_MAX_ORDER, (len(grid) // 2 - 1) // k)
+    fits = []
+    for start in (0, len(grid) // 4):
+        n = grid[start:]
+        t = n[0] / n
+        u = np.log(n / n[0]) / np.log(n[-1] / n[0])
+        columns = [np.ones_like(n)]
+        for i in range(1, orders + 1):
+            columns += [t**i * u**j for j in range(k)]
+        rows = np.array(_constant_rows(columns)[k::k]) if orders else np.empty((0, len(n)))
+        rows.flags.writeable = False  # shared by every caller through the cache
+        fits.append((start, rows, np.abs(rows).sum(axis=1)))
+    return tuple(fits)
+
+
+def _extrapolate(sums, cutoff, k):
+    """``(value, est_error)`` from the partial sums on ``_grid(cutoff)``."""
+    import numpy as np
+
+    (_, full_rows, full_norms), (start, short_rows, short_norms) = _fit_rows(cutoff, k)
+    full = full_rows @ sums
+    short = short_rows @ sums[start:]
+    floor = np.maximum(full_norms, short_norms) * _EPS * np.abs(sums).max()
+    best = (float(sums[-1]), math.inf)
+    for p in range(1, len(full)):  # orders p + 1 against p
+        value = full[p]
+        spread = max(abs(full[p - 1] - value), abs(short[p] - value), abs(short[p - 1] - value))
+        est = float(2 * spread + max(floor[p], floor[p - 1]))
+        if est < best[1]:
+            best = (float(value), est)
+    return best
 
 
 def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
-    """Estimate the series by doubling the cutoff until stable within ``tol``.
+    """Estimate the series by extrapolating its partial sums to ``N = infinity``.
 
-    Stops once successive estimates differ by less than ``tol / 2`` or the
-    cutoff cap is exceeded; the cap case is reported as ``converged=False``,
-    not an exception.  ``tol`` must be positive and finite, and ``max_n``
-    must exceed the first cutoff ``2**10``, so that there are at least two
-    estimates to compare; otherwise ``ValueError``.
+    Fits the truncation expansion to a sweep up to ``2**10`` and doubles the
+    cutoff, up to ``max_n``, until the fits agree within ``tol / 2`` (see the
+    module docstring).  An estimate that does not get there by ``max_n`` is
+    reported as ``converged=False``, not an exception.  ``tol`` must be
+    positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``;
+    otherwise ``ValueError``.
     """
     comp = composition(comp)
     _require_convergent(comp)
@@ -134,24 +259,25 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     if not comp:
         return ZetaEstimate(1.0, 0, 0.0, True)
 
-    checkpoints = [_START_N]
-    while checkpoints[-1] < max_n:
-        checkpoints.append(min(2 * checkpoints[-1], max_n))
+    import numpy as np
 
-    previous = None
-    diff = float("inf")
-    value = 0.0
-    cutoff = checkpoints[0]
-    for cutoff, value in _partial_sums(comp, checkpoints):
-        if previous is not None:
-            diff = abs(value - previous)
-            if diff < tol / 2:
-                return ZetaEstimate(value, cutoff, diff, True)
-        previous = value
-    return ZetaEstimate(value, cutoff, diff, False)
+    cutoffs = [_START_N]
+    while cutoffs[-1] < max_n:
+        cutoffs.append(min(2 * cutoffs[-1], max_n))
+    grid = _grid(max_n)
+    at_grid = np.empty(len(grid))
+    for first, sums in _sweep(comp, cutoffs):
+        last = first + len(sums) - 1
+        lo, hi = np.searchsorted(grid, [first, last + 1])
+        at_grid[lo:hi] = sums[grid[lo:hi] - first]
+        if last in cutoffs:
+            value, est_error = _extrapolate(at_grid[:hi], last, len(comp))
+            if est_error < tol / 2:
+                return ZetaEstimate(value, last, est_error, True)
+    return ZetaEstimate(value, last, est_error, False)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def _zeta_cached(comp, tol, max_n):
     return zeta(comp, tol, max_n=max_n)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +135,7 @@ def test_zeta_json(capsys):
 
 
 def test_zeta_unconverged_exits_1(capsys):
-    code, out, _ = run(capsys, "zeta", "[2]", "--tol", "1e-12", "--max-n", "4096")
+    code, out, _ = run(capsys, "zeta", "[2]", "--tol", "1e-18", "--max-n", "4096")
     assert code == 1
     assert "converged = False" in out
 
@@ -177,6 +181,23 @@ def test_relations_json(capsys):
     first = data["relations"][0]
     assert first["a"] == [2] and first["b"] == [2]
     assert first["residual"] < 1e-4 + first["est_error"]
+    assert all(rel["passed"] is True for rel in data["relations"])
+
+
+def test_relations_failing_relation_exits_1(capsys, monkeypatch):
+    from extshuffle import ZetaEstimate
+
+    def off_by_one(x, tol, *, max_n):
+        return ZetaEstimate(1.0, 1024, 1e-9, True)
+
+    monkeypatch.setattr("extshuffle.relations.zeta_of_lincomb", off_by_one)
+    argv = ["relations", "--max-depth", "1", "--min-entry", "2", "--max-entry", "3"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert [rel["passed"] for rel in json.loads(out)["relations"]] == [False] * 3
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert all(line.endswith(", FAIL)") for line in out.strip().splitlines())
 
 
 @pytest.mark.parametrize("max_n", ["-5", "0", "1024"])
@@ -235,3 +256,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write meets a broken pipe
+    try:
+        done = _python(
+            "-m", "extshuffle", "shuffle", "[200]", "[200]",
+            stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def test_import_leaves_numpy_unloaded():
+    done = _python(
+        "-c", "import sys, extshuffle; print('numpy' in sys.modules)", capture_output=True
+    )
+    assert done.stdout.decode().strip() == "False"

@@ -59,6 +59,7 @@ def test_enumerate_relations_smallest():
     assert (rel.a, rel.b) == ((2,), (2,))
     assert rel.difference == lc(((4,), 1), ((3, 1), -4))
     assert rel.residual < 1e-4 + rel.est_error
+    assert rel.passed
     assert scan.skipped == ()
 
 
@@ -124,3 +125,17 @@ def test_enumerate_relations_records_skipped_pairs(monkeypatch):
     assert len(scan.skipped) == 1
     assert scan.skipped[0].a == (2,) and scan.skipped[0].nonconvergent_terms == ((1, 1),)
     assert len(scan.relations) == 2
+
+
+def test_relation_fails_when_its_residual_exceeds_tolerance(monkeypatch):
+    import extshuffle.relations as rel_mod
+    from extshuffle import ZetaEstimate
+
+    def off_by_one(x, tol, *, max_n):
+        return ZetaEstimate(1.0, 1024, 1e-9, True)
+
+    monkeypatch.setattr(rel_mod, "zeta_of_lincomb", off_by_one)
+    scan = rel_mod.enumerate_relations(1, (2, 3), 1e-4)
+    assert len(scan.relations) == 3
+    assert not any(rel.passed for rel in scan.relations)
+    assert all(rel.residual == 1.0 for rel in scan.relations)

@@ -123,16 +123,16 @@ def test_zeta_rejects_cap_with_fewer_than_two_checkpoints(max_n):
 
 
 def test_zeta_smallest_cap_compares_two_estimates():
-    est = zeta((2,), 1e-12, max_n=1025)
+    est = zeta((2,), 1e-18, max_n=1025)
     assert est.cutoff == 1025
     assert 0 < est.est_error < float("inf")
 
 
 def test_zeta_reports_nonconvergence_at_cap():
-    est = zeta((2,), 1e-12, max_n=1 << 12)
+    est = zeta((2,), 1e-18, max_n=1 << 12)
     assert not est.converged
     assert est.cutoff == 1 << 12
-    assert est.est_error > 1e-12
+    assert est.est_error > 1e-18
 
 
 def test_zeta_of_lincomb():
@@ -189,3 +189,68 @@ def test_summing_fraction_over_lattice_matches_zeta(exponents):
     eta = lattice_sum(symbol, box)
     zs = zeta(exponents, 1e-6).value
     assert eta == pytest.approx(zs, abs=5e-3)
+
+
+def _closed_forms():
+    """The nine closed-form points, valued by mpmath at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    z = mpmath.zeta
+    return {
+        (2,): z(2),
+        (3,): z(3),
+        (2, 2): 3 * z(4) / 4,
+        (3, 1): z(4) / 4,
+        (2, 1): z(3),
+        (2, 1, 1): z(4),
+        (2, 1, 1, 1): z(5),
+        (4, -1): (z(2) - z(3)) / 2,
+        (5, -1): (z(3) - z(4)) / 2,
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_closed_forms_converge_within_their_error_bars(tol):
+    for comp, exact in _closed_forms().items():
+        est = zeta(comp, tol)
+        assert est.converged, (comp, est)
+        assert abs(est.value - float(exact)) <= est.est_error <= tol / 2, (comp, est)
+
+
+def test_log_tailed_points_converge_with_the_default_cap():
+    # their tails are (log N)**j / N: doubling alone never stabilized them
+    # below 2**24 at this tolerance
+    for comp, exact in [((2, 1), 1.2020569031595942), ((2, 1, 1), 1.0823232337111381),
+                        ((2, 1, 1, 1), 1.0369277551433699)]:
+        est = zeta(comp, 1e-6)
+        assert est.converged
+        assert est.cutoff <= 1 << 12
+        assert abs(est.value - exact) < 1e-6
+
+
+def test_tolerance_below_rounding_floor_never_converges():
+    # the floor is at least eps * |S| because the fit row sums to one
+    for comp in _closed_forms():
+        est = zeta(comp, 1e-17, max_n=1 << 13)
+        assert not est.converged
+        assert est.cutoff == 1 << 13
+        assert est.est_error > 1e-17 / 2
+
+
+# the ordered pairs (depth <= 3, entries -1..3) that the cutoff-doubling
+# evaluator reported as FAIL at 1e-4, each 0.3-11% over its tolerance
+FORMER_FALSE_FAILS = [
+    ((2, 2), (2, 1, 3)), ((2, 3), (2, 1, 3)), ((3, 1), (2, 1, 2)), ((3, 1), (2, 1, 3)),
+    ((3, 2), (2, 1, 2)), ((3, 2), (2, 1, 3)), ((3, 3), (2, 1, 2)), ((3, 3), (2, 1, 3)),
+    ((2, 1, 2), (3, 1)), ((2, 1, 2), (3, 2)), ((2, 1, 2), (3, 3)), ((2, 1, 2), (2, 1, 2)),
+    ((2, 1, 2), (2, 1, 3)), ((2, 1, 2), (3, 0, 3)), ((2, 1, 3), (2, 2)), ((2, 1, 3), (2, 3)),
+    ((2, 1, 3), (3, 1)), ((2, 1, 3), (3, 2)), ((2, 1, 3), (3, 3)), ((2, 1, 3), (2, 1, 2)),
+    ((2, 1, 3), (2, 1, 3)), ((2, 1, 3), (3, 0, 3)), ((3, 0, 3), (2, 1, 2)), ((3, 0, 3), (2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("pair", FORMER_FALSE_FAILS, ids=str)
+def test_former_false_fails_pass(pair):
+    report = verify_homomorphism(*pair, 1e-4)
+    assert report.passed, report
+    assert report.lhs.converged
