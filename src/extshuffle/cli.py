@@ -153,6 +153,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    if args.max_depth < 1:
+        raise ValueError(f"--max-depth must be at least 1, got {args.max_depth}")
+    if args.min_entry > args.max_entry:
+        raise ValueError(
+            f"--min-entry {args.min_entry} is above --max-entry {args.max_entry}"
+        )
     scan = enumerate_relations(
         args.max_depth,
         (args.min_entry, args.max_entry),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import Composition, LinComb, composition
 from .convergence import is_convergent
 from .shuffle import ext_shuffle, stuffle
-from .zeta import DEFAULT_MAX_N, zeta_of_lincomb
+from .zeta import DEFAULT_MAX_N, _check_numeric, _estimates, zeta_of_lincomb
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,30 @@ def enumerate_relations(
     canonical order, so the output is deterministic.  Each emitted relation
     carries the numeric residual of its series, the accumulated empirical
     error and whether the residual is within ``tol`` plus that error; pairs
-    with a non-convergent product term are recorded as skipped.
+    with a non-convergent product term are recorded as skipped.  Every
+    relation is built first, and the union of their terms is evaluated in one
+    batch.
     """
+    _check_numeric(tol, max_n)
     lo, hi = entry_range
     basis = convergent_compositions(max_depth, lo, hi)
-    relations = []
+    found = []
     skipped = []
     for i, a in enumerate(basis):
         for b in basis[i:]:
             rel = double_shuffle_relation(a, b)
             if rel.nonconvergent_terms:
                 skipped.append(SkippedPair(a, b, rel.nonconvergent_terms))
-                continue
-            est = zeta_of_lincomb(rel.difference, tol, max_n=max_n)
-            residual = abs(est.value)
-            relations.append(
-                CertifiedRelation(
-                    a, b, rel.difference, residual, est.est_error, residual <= tol + est.est_error
-                )
+            else:
+                found.append(rel)
+    _estimates({comp for rel in found for comp, _ in rel.difference.items()}, tol, max_n)
+    relations = []
+    for rel in found:
+        est = zeta_of_lincomb(rel.difference, tol, max_n=max_n)
+        residual = abs(est.value)
+        relations.append(
+            CertifiedRelation(
+                rel.a, rel.b, rel.difference, residual, est.est_error, residual <= tol + est.est_error
             )
+        )
     return RelationScan(tuple(relations), tuple(skipped))

@@ -8,10 +8,26 @@ with a cumulative dynamic program: writing ``B_0(m) = 1`` and
 
     B_j(m) = sum_{n <= m} n**-s(k-j+1) * B_{j-1}(n - 1),
 
-the truncated sum is ``B_k(N)``.  One left-to-right sweep updates all levels
-simultaneously, so the cost is O(depth * N) instead of O(N**depth).  The
-sweep runs in blocks of vectorized arithmetic, accumulated in extended
-precision where the platform has it.
+the truncated sum is ``B_k(N)``.  Level ``j`` depends on the composition only
+through its innermost suffix ``(s(k-j+1), ..., sk)``, so compositions that
+share a suffix share that level.  Every evaluation is a batch: the distinct
+suffixes of its compositions form a trie, and the sweep runs the trie level
+by level, level ``j`` as one 2-D block with a row per distinct suffix of
+length ``j``.  A row's terms are ``n**-s`` (from a table of the batch's
+distinct exponents) times its parent row shifted by one; they are formed in
+float64 and accumulated along the row in extended precision where the
+platform has it.  The cost is O(distinct suffixes * N) instead of
+O(N**depth).
+
+The sweep advances through ``n`` in stretches that end at every cutoff and
+span at most ``_PIECE`` values.  Each stretch takes the batch in chunks,
+sorted by reversed entries so that shared suffixes fall together, whose
+blocks hold at most ``_BLOCK_BYTES`` of float64 (a composition's own
+suffixes are never split, so one deep enough composition may exceed it).
+Memory therefore stays bounded whatever the batch size.  Every row is
+computed by the same operations whatever else is in its batch, and each fit
+below uses only elementwise products and a sum along one row, so a
+composition's result is bitwise the same alone or in any batch.
 
 ``zeta`` extrapolates instead of summing to a distant cutoff.  A convergent
 series with integer entries has the truncation expansion
@@ -39,11 +55,11 @@ compositions whose expansion is barely resolved.  Every order ``p >= 2``
 whose ``1 + p * depth`` unknowns are at most half the grid points (and
 ``p <= 8``) is tried, and the one with the smallest ``est_error`` is kept.
 
-The estimate is ``converged`` once ``est_error < tol / 2``.  Otherwise the
-cutoff doubles, clamped to ``max_n``, the sweep continues where it stopped,
-and the grid extends to the new cutoff; ``cutoff`` is the last ``N``
-summed, and ``max_n`` is only a fallback cap.  The error estimate is
-empirical, not a proven bound.  A tolerance below the rounding floor can
+The estimate is ``converged`` once ``est_error < tol / 2``, and the
+composition leaves the batch.  For the others the cutoff doubles, clamped to
+``max_n``, the sweep continues from their carries, and the grid extends to
+the new cutoff; ``cutoff`` is the last ``N`` summed, and ``max_n`` is only a
+fallback cap.  The error estimate is empirical, not a proven bound.  A tolerance below the rounding floor can
 never converge, and a series whose expansion is not resolved by ``max_n``
 reports ``converged=False`` at the cap rather than raising.
 """
@@ -61,7 +77,8 @@ from .shuffle import ext_shuffle
 
 DEFAULT_MAX_N = 1 << 24
 _START_N = 1 << 10
-_BLOCK = 1 << 19
+_PIECE = 1 << 16  # longest stretch of n swept at once
+_BLOCK_BYTES = 1 << 19  # float64 trie rows of one chunk over one stretch
 _GRID_START = 64
 _GRID_PER_OCTAVE = 8
 _MAX_ORDER = 8
@@ -102,38 +119,102 @@ def _int_power(base, p):
     return result.copy() if result is base else result
 
 
-def _sweep(comp, cutoffs):
-    """Yield ``(first, sums)`` block by block, in one sweep up to the last cutoff.
+def _chunks(comps, budget):
+    """Split ``comps``, sorted by reversed entries, into runs
+    ``comps[start:stop]`` whose tries have at most ``budget`` nodes; a
+    composition with more suffixes than that is a run of its own.  Yields
+    ``(start, stop)``."""
+    start, nodes = 0, set()
+    for i, comp in enumerate(comps):
+        suffixes = {comp[j:] for j in range(len(comp))}
+        if i > start and len(nodes) + len(suffixes - nodes) > budget:
+            yield start, i
+            start, nodes = i, set()
+        nodes |= suffixes
+    yield start, len(comps)
 
-    ``sums[i]`` is the partial sum at ``n = first + i``.  Blocks end at each
-    cutoff and are at most ``_BLOCK`` long.  Term values are formed in
-    float64 (per-term relative error does not accumulate); only the running
-    prefix sums are carried in extended precision, which keeps the
-    sequential accumulation error negligible where ``np.longdouble`` is wider
-    than float64.
+
+def _sweep_trie(comps, table, power_row, carries, sums):
+    """Sweep the suffix trie of ``comps`` over a stretch of ``n``.
+
+    Row ``power_row[p]`` of ``table`` holds ``n**p`` over the stretch, and
+    ``carries`` maps a suffix to its level's sum just below the stretch
+    (absent means zero, as at ``n = 1``).  Each suffix gets a row of ``sums``,
+    ordered by level so that a parent's row is done before its children's,
+    and the row receives the suffix's float64 partial sums over the stretch.
+    Returns ``(nodes, ends)``: ``nodes`` maps each suffix to its row, and
+    ``ends`` holds each row's last sum in extended precision.  Term values
+    are formed in float64 (per-term relative error does not accumulate);
+    only the running sums are carried in extended precision, which keeps the
+    sequential accumulation error negligible where ``np.longdouble`` is
+    wider than float64.
     """
     import numpy as np
 
-    powers = [-e for e in reversed(comp)]  # innermost exponent applied first
-    carry = np.zeros(len(comp) + 1, dtype=np.longdouble)  # B_j at the block start
-    pos = 0
-    for target in cutoffs:
-        while pos < target:
-            hi = min(pos + _BLOCK, target)
-            ms = np.arange(pos + 1, hi + 1, dtype=np.float64)
-            level = None  # B_0 = 1 leaves the first level's terms as they are
-            for j, power in enumerate(powers, start=1):
-                terms = _int_power(ms, power)
-                if level is not None:  # times B_{j-1}(n - 1)
-                    terms[1:] *= level[:-1]
-                    terms[0] *= below
-                below = float(carry[j])
-                sums = np.cumsum(terms, dtype=np.longdouble)
-                sums += carry[j]
-                carry[j] = sums[-1]
-                level = sums.astype(np.float64)
-            yield pos + 1, level
-            pos = hi
+    nodes, bounds = {}, []
+    for j in range(1, max(map(len, comps)) + 1):
+        for comp in comps:
+            if len(comp) >= j:
+                nodes.setdefault(comp[len(comp) - j:], len(nodes))
+        bounds.append(len(nodes))
+    suffixes = list(nodes)
+    which = np.array([power_row[-s[0]] for s in suffixes])  # a row's terms are n**-s[0]
+    parent = np.array([nodes.get(s[1:], 0) for s in suffixes])
+    starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
+    below = starts.astype(np.float64)  # B_{j-1}(n - 1) at the first n
+    ends = np.empty_like(starts)
+    acc = np.empty(table.shape[1], dtype=np.longdouble)
+    lo = 0
+    for hi in bounds:
+        level = sums[lo:hi]  # the level's terms, then its sums, in place
+        np.take(table, which[lo:hi], axis=0, out=level, mode="clip")
+        if lo:  # above the first level (B_0 = 1): times B_{j-1}(n - 1)
+            up = parent[lo:hi]
+            level[:, 1:] *= sums[up, :-1]
+            level[:, 0] *= below[up]
+        for r, row in enumerate(level, start=lo):
+            np.cumsum(row, dtype=np.longdouble, out=acc)
+            if carries:  # all zero at n = 1
+                acc += starts[r]
+            row[:] = acc
+            ends[r] = acc[-1]
+        lo = hi
+    return nodes, ends
+
+
+def _advance(comps, pos, target, carries, grid, out):
+    """Sweep ``comps``, sorted by reversed entries, from ``n = pos`` to ``target``.
+
+    ``carries`` maps each suffix of theirs to its level's sum at ``pos``
+    (empty at ``pos = 0``).  The partial sums of ``comps[i]`` at the points of
+    ``grid`` in ``(pos, target]`` go to the same columns of ``out[i]``.
+    Returns the carries at ``target``.  Stretches of ``n`` end at ``target``
+    and at every ``_PIECE``-th value after ``pos``, whatever the batch.
+    """
+    import numpy as np
+
+    powers = sorted({-e for comp in comps for e in comp})
+    power_row = {power: i for i, power in enumerate(powers)}
+    for first in range(pos + 1, target + 1, _PIECE):
+        last = min(first + _PIECE - 1, target)
+        ms = np.arange(first, last + 1, dtype=np.float64)
+        lo, hi = np.searchsorted(grid, [first, last + 1])
+        cols = grid[lo:hi] - first
+        table = np.empty((len(powers), len(ms)))
+        for i, power in enumerate(powers):
+            table[i] = _int_power(ms, power)
+        budget = max(1, _BLOCK_BYTES // (8 * len(ms)))
+        # one block serves every chunk: a chunk has at most budget rows, or
+        # one composition's
+        sums = np.empty((max(budget, max(map(len, comps))), len(ms)))
+        swept = {}
+        for start, stop in _chunks(comps, budget):
+            run = comps[start:stop]
+            nodes, ends = _sweep_trie(run, table, power_row, carries, sums)
+            swept.update(zip(nodes, ends))
+            out[start:stop, lo:hi] = sums[:, cols][[nodes[comp] for comp in run]]
+        carries = swept
+    return carries
 
 
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
@@ -144,9 +225,12 @@ def zeta_truncated(comp: Composition, cutoff: int) -> float:
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
     if not comp:
         return 1.0
-    for _, sums in _sweep(comp, [cutoff]):
-        last = sums[-1]
-    return float(last)
+
+    import numpy as np
+
+    out = np.empty((1, 1))
+    _advance([comp], 0, cutoff, {}, np.array([cutoff]), out)
+    return float(out[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -220,21 +304,78 @@ def _fit_rows(cutoff, k):
 
 
 def _extrapolate(sums, cutoff, k):
-    """``(value, est_error)`` from the partial sums on ``_grid(cutoff)``."""
+    """``(values, est_errors)`` for each row of ``sums``, the partial sums of a
+    depth-``k`` composition on ``_grid(cutoff)``.
+
+    A row's fits are elementwise products summed along that row, not a matrix
+    product whose rounding could depend on how many rows there are.
+    """
     import numpy as np
 
     (_, full_rows, full_norms), (start, short_rows, short_norms) = _fit_rows(cutoff, k)
-    full = full_rows @ sums
-    short = short_rows @ sums[start:]
-    floor = np.maximum(full_norms, short_norms) * _EPS * np.abs(sums).max()
-    best = (float(sums[-1]), math.inf)
-    for p in range(1, len(full)):  # orders p + 1 against p
-        value = full[p]
-        spread = max(abs(full[p - 1] - value), abs(short[p] - value), abs(short[p - 1] - value))
-        est = float(2 * spread + max(floor[p], floor[p - 1]))
-        if est < best[1]:
-            best = (float(value), est)
-    return best
+    if len(full_rows) < 2:
+        return sums[:, -1], np.full(len(sums), math.inf)
+    full = (sums[:, None, :] * full_rows).sum(axis=2)
+    short = (sums[:, None, start:] * short_rows).sum(axis=2)
+    floor = np.maximum(full_norms, short_norms) * _EPS * np.abs(sums).max(axis=1, keepdims=True)
+    value = full[:, 1:]  # orders p + 1 against p
+    spread = np.maximum(
+        np.maximum(abs(full[:, :-1] - value), abs(short[:, 1:] - value)), abs(short[:, :-1] - value)
+    )
+    est = 2 * spread + np.maximum(floor[:, 1:], floor[:, :-1])
+    best = est.argmin(axis=1)
+    pick = np.arange(len(sums))
+    return value[pick, best], est[pick, best]
+
+
+def _check_numeric(tol, max_n):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_n <= _START_N:
+        raise ValueError(
+            f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
+            f"can be compared; got {max_n}"
+        )
+
+
+def _evaluate(comps, tol, max_n):
+    """``zeta`` of each of ``comps`` in one batched sweep, as a dict by composition.
+
+    Every composition is checked to be convergent before anything is summed.
+    """
+    import numpy as np
+
+    for comp in comps:
+        _require_convergent(comp)
+    found = {(): ZetaEstimate(1.0, 0, 0.0, True)} if () in comps else {}
+    pending = sorted({comp for comp in comps if comp}, key=lambda c: c[::-1])
+    if not pending:
+        return found
+    cutoffs = [_START_N]
+    while cutoffs[-1] < max_n:
+        cutoffs.append(min(2 * cutoffs[-1], max_n))
+    grid = _grid(max_n)
+    at_grid = np.empty((len(pending), 0))  # pending[i]'s sums on the grid so far
+    carries, pos = {}, 0
+    for cutoff in cutoffs:
+        width = np.searchsorted(grid, cutoff, side="right")
+        at_grid = np.hstack([at_grid, np.empty((len(pending), width - at_grid.shape[1]))])
+        carries = _advance(pending, pos, cutoff, carries, grid, at_grid)
+        pos = cutoff
+        by_depth = {}
+        for i, comp in enumerate(pending):
+            by_depth.setdefault(len(comp), []).append(i)
+        for k, rows in by_depth.items():
+            values, errors = _extrapolate(at_grid[rows], cutoff, k)
+            for i, value, error in zip(rows, values.tolist(), errors.tolist()):
+                if error < tol / 2 or cutoff == max_n:
+                    found[pending[i]] = ZetaEstimate(value, cutoff, error, error < tol / 2)
+        rest = [i for i, comp in enumerate(pending) if comp not in found]
+        if not rest:
+            break
+        pending = [pending[i] for i in rest]
+        at_grid = at_grid[rest]
+    return found
 
 
 def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
@@ -249,53 +390,50 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     """
     comp = composition(comp)
     _require_convergent(comp)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if max_n <= _START_N:
-        raise ValueError(
-            f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
-            f"can be compared; got {max_n}"
-        )
-    if not comp:
-        return ZetaEstimate(1.0, 0, 0.0, True)
-
-    import numpy as np
-
-    cutoffs = [_START_N]
-    while cutoffs[-1] < max_n:
-        cutoffs.append(min(2 * cutoffs[-1], max_n))
-    grid = _grid(max_n)
-    at_grid = np.empty(len(grid))
-    for first, sums in _sweep(comp, cutoffs):
-        last = first + len(sums) - 1
-        lo, hi = np.searchsorted(grid, [first, last + 1])
-        at_grid[lo:hi] = sums[grid[lo:hi] - first]
-        if last in cutoffs:
-            value, est_error = _extrapolate(at_grid[:hi], last, len(comp))
-            if est_error < tol / 2:
-                return ZetaEstimate(value, last, est_error, True)
-    return ZetaEstimate(value, last, est_error, False)
+    _check_numeric(tol, max_n)
+    return _evaluate([comp], tol, max_n)[comp]
 
 
-@lru_cache(maxsize=None)
-def _zeta_cached(comp, tol, max_n):
-    return zeta(comp, tol, max_n=max_n)
+_MEMO: dict = {}
+"""Estimates by ``(comp, tol, max_n)``.  Batches only add entries, and an
+entry does not depend on the batch that computed it, so threads share the
+memo safely: a lost race only computes an entry twice."""
+
+
+def _estimates(comps, tol, max_n):
+    """The estimates of ``comps``, as a dict by composition, computing those
+    not in the memo in one batch."""
+    found = {}
+    for comp in comps:
+        est = _MEMO.get((comp, tol, max_n))
+        if est is not None:
+            found[comp] = est
+    missing = [comp for comp in comps if comp not in found]
+    if missing:
+        for comp, est in _evaluate(missing, tol, max_n).items():
+            _MEMO[comp, tol, max_n] = est
+            found[comp] = est
+    return found
 
 
 def zeta_of_lincomb(x: LinComb, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
     """Coefficient-weighted sum of per-term estimates.
 
     The reported error is the absolute-coefficient-weighted sum of per-term
-    errors; every term must be convergent.
+    errors; every term must be convergent.  Terms not yet estimated at this
+    ``tol`` and ``max_n`` are evaluated in one batch.
     """
+    _check_numeric(tol, max_n)
     if not x:
         return ZetaEstimate(0.0, 0, 0.0, True)
+    terms = x.terms()
+    estimates = _estimates([comp for comp, _ in terms], tol, max_n)
     total = 0.0
     err = 0.0
     cutoff = 0
     converged = True
-    for comp, coef in x.terms():
-        est = _zeta_cached(comp, tol, max_n)
+    for comp, coef in terms:
+        est = estimates[comp]
         c = float(coef)
         total += c * est.value
         err += abs(c) * est.est_error
@@ -331,10 +469,11 @@ def verify_homomorphism(
     b = composition(b)
     _require_convergent(a)
     _require_convergent(b)
+    _check_numeric(tol, max_n)
     expansion = ext_shuffle(a, b)
+    factors = _estimates(expansion.support() + [a, b], tol, max_n)
     lhs = zeta_of_lincomb(expansion, tol, max_n=max_n)
-    za = _zeta_cached(a, tol, max_n)
-    zb = _zeta_cached(b, tol, max_n)
+    za, zb = factors[a], factors[b]
     rhs_value = za.value * zb.value
     rhs_error = (
         abs(za.value) * zb.est_error

@@ -222,6 +222,22 @@ def test_verify_zero_cap_is_usage_error(capsys):
     assert err.startswith("error:") and "max_n" in err
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--max-depth", "-2", "--min-entry", "1", "--max-entry", "3"], "--max-depth"),
+        (["--max-depth", "0", "--min-entry", "1", "--max-entry", "3", "--tol", "inf"], "--max-depth"),
+        (["--max-depth", "2", "--min-entry", "3", "--max-entry", "1"], "--min-entry"),
+        (["--max-depth", "1", "--min-entry", "2", "--max-entry", "3", "--tol", "inf"], "tolerance"),
+    ],
+)
+def test_relations_bad_bounds_are_usage_errors(capsys, bounds, message):
+    code, out, err = run(capsys, "relations", *bounds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_large_entries_compute(capsys):
     code, out, _ = run(capsys, "shuffle", "[200]", "[200]")
     assert code == 0

@@ -9,6 +9,7 @@ from extshuffle import (
     rho_encode,
     stuffle,
     word_shuffle,
+    zeta,
 )
 from extshuffle.relations import convergent_compositions
 
@@ -139,3 +140,40 @@ def test_relation_fails_when_its_residual_exceeds_tolerance(monkeypatch):
     assert len(scan.relations) == 3
     assert not any(rel.passed for rel in scan.relations)
     assert all(rel.residual == 1.0 for rel in scan.relations)
+
+
+def test_batched_scan_matches_per_composition_sums():
+    # the scan evaluates the union of its relations' terms in one batch; each
+    # estimate must be what zeta gives that composition alone
+    tol = 1e-4
+    scan = enumerate_relations(2, (-1, 3), tol)
+    basis = convergent_compositions(2, -1, 3)
+    pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+    assert len(scan.relations) + len(scan.skipped) == len(pairs)
+    expected = []
+    for a, b in pairs:
+        rel = double_shuffle_relation(a, b)
+        if rel.nonconvergent_terms:
+            continue
+        total = err = 0.0
+        for comp, coef in rel.difference.terms():
+            est = zeta(comp, tol)
+            total += float(coef) * est.value
+            err += abs(float(coef)) * est.est_error
+        expected.append((a, b, rel.difference, abs(total), err, abs(total) <= tol + err))
+    got = [(r.a, r.b, r.difference, r.residual, r.est_error, r.passed) for r in scan.relations]
+    assert got == expected
+
+
+@pytest.mark.parametrize("tol, max_n", [(float("inf"), 1 << 24), (1e-4, 1024)])
+def test_scan_checks_numeric_arguments_before_any_product(monkeypatch, tol, max_n):
+    import extshuffle.relations as rel_mod
+
+    def no_product(a, b):
+        raise AssertionError("computed a product before checking the arguments")
+
+    monkeypatch.setattr(rel_mod, "double_shuffle_relation", no_product)
+    with pytest.raises(ValueError, match="tolerance|max_n"):
+        rel_mod.enumerate_relations(0, (1, 3), tol, max_n=max_n)
+    with pytest.raises(ValueError, match="tolerance|max_n"):
+        rel_mod.enumerate_relations(1, (2, 3), tol, max_n=max_n)

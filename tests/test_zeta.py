@@ -1,8 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extshuffle import (
     ChenSymbol,
@@ -14,6 +18,10 @@ from extshuffle import (
     zeta_of_lincomb,
     zeta_truncated,
 )
+from extshuffle.convergence import is_convergent
+from extshuffle.zeta import _evaluate
+
+ZETA_MODULE = sys.modules["extshuffle.zeta"]
 
 
 def brute_truncated(comp, cutoff):
@@ -254,3 +262,92 @@ def test_former_false_fails_pass(pair):
     report = verify_homomorphism(*pair, 1e-4)
     assert report.passed, report
     assert report.lhs.converged
+
+
+# batches: the private evaluator is called directly, so the memo is bypassed
+
+
+def test_product_terms_are_bitwise_the_same_in_a_batch_as_alone():
+    terms = ext_shuffle((2, 1, 3), (3, 0, 3)).support()
+    batch = _evaluate(terms, 1e-4, 1 << 24)
+    for comp in terms:
+        assert batch[comp] == _evaluate([comp], 1e-4, 1 << 24)[comp], comp
+
+
+@settings(max_examples=25)
+@given(
+    st.lists(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=6).map(tuple).filter(is_convergent),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_sampled_compositions_are_bitwise_the_same_in_a_batch_as_alone(comps):
+    batch = _evaluate(comps + ext_shuffle((2, 1), (3, 0, 2)).support(), 1e-4, 1 << 24)
+    for comp in comps:
+        assert batch[comp] == _evaluate([comp], 1e-4, 1 << 24)[comp], comp
+
+
+def test_mixed_cutoffs_in_one_batch_match_their_solo_results():
+    # zeta(2,1,1,1) needs 2**18 at 1e-10 and shares its suffixes with members
+    # that leave the batch at cutoffs from 2**10 to 2**16
+    comps = [(2, 1, 1, 1), (2,), (3,), (4, -1), (3, 1), (2, 1), (2, 1, 1), (3, 1, 1),
+             (5, 1, 1, 1), (4, 1, 1, 1), (3, 1, 1, 1)]
+    batch = _evaluate(comps, 1e-10, 1 << 24)
+    solo = {comp: _evaluate([comp], 1e-10, 1 << 24)[comp] for comp in comps}
+    assert batch == solo
+    assert solo[(2, 1, 1, 1)].cutoff == 1 << 18
+    assert solo[(2,)].cutoff == solo[(3,)].cutoff == 1 << 10
+    assert all(est.converged for est in solo.values())
+
+
+def test_batch_rejects_a_divergent_term_before_any_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept before checking convergence")
+
+    monkeypatch.setattr(ZETA_MODULE, "_advance", no_sweep)
+    with pytest.raises(ValueError, match="not convergent"):
+        _evaluate([(2,), (3, 1), (1, 2)], 1e-6, 1 << 24)
+
+
+def test_memo_is_safe_under_concurrent_cold_use(monkeypatch):
+    expansions = [ext_shuffle(a, b) for a, b in
+                  [((2, 1), (3,)), ((2,), (3, 1)), ((2, 1), (2, 1)), ((3, 0, 1), (2,))]]
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    sequential = [zeta_of_lincomb(x, 1e-6) for x in expansions]
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    results = [None] * 8
+
+    def worker(slot):
+        order = expansions[slot % 4:] + expansions[:slot % 4]
+        results[slot] = {order.index(x): zeta_of_lincomb(x, 1e-6) for x in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for slot, row in enumerate(results):
+        shift = slot % 4
+        assert [row[(i - shift) % 4] for i in range(4)] == sequential
+
+
+@pytest.mark.parametrize("tol, max_n", [(float("inf"), 1 << 24), (1e-6, 1024)])
+def test_numeric_arguments_are_checked_before_any_work(monkeypatch, tol, max_n):
+    def no_work(*args):
+        raise AssertionError("worked before checking the arguments")
+
+    monkeypatch.setattr(ZETA_MODULE, "_evaluate", no_work)
+    monkeypatch.setattr(ZETA_MODULE, "ext_shuffle", no_work)
+    with pytest.raises(ValueError, match="tolerance|max_n"):
+        zeta_of_lincomb(LinComb.zero(), tol, max_n=max_n)
+    with pytest.raises(ValueError, match="tolerance|max_n"):
+        zeta_of_lincomb(LinComb.basis((2,)), tol, max_n=max_n)
+    with pytest.raises(ValueError, match="tolerance|max_n"):
+        verify_homomorphism((2,), (3,), tol, max_n=max_n)
