@@ -14,10 +14,13 @@ share a suffix share that level.  Every evaluation is a batch: the distinct
 suffixes of its compositions form a trie, and the sweep runs the trie level
 by level, level ``j`` as one 2-D block with a row per distinct suffix of
 length ``j``.  A row's terms are ``n**-s`` (from a table of the batch's
-distinct exponents) times its parent row shifted by one; they are formed in
-float64 and accumulated along the row in extended precision where the
-platform has it.  The cost is O(distinct suffixes * N) instead of
-O(N**depth).
+distinct exponents) times its parent row shifted by one, formed in float64.
+A level is summed in one vectorised pass: each row in runs of ``_RUN``
+values in float64, and the run totals and the carry from the previous
+stretch in ``np.longdouble``, extended precision where the platform has it.
+Blocked summation like this keeps the error near ``(_RUN + N / _RUN) * eps``
+instead of ``N * eps`` (Higham, SIAM J. Sci. Comput. 1993).  The cost is
+O(distinct suffixes * N) instead of O(N**depth).
 
 The sweep advances through ``n`` in stretches that end at every cutoff and
 span at most ``_PIECE`` values.  Each stretch takes the batch in chunks,
@@ -61,7 +64,8 @@ composition leaves the batch.  For the others the cutoff doubles, clamped to
 the new cutoff; ``cutoff`` is the last ``N`` summed, and ``max_n`` is only a
 fallback cap.  The error estimate is empirical, not a proven bound.  A tolerance below the rounding floor can
 never converge, and a series whose expansion is not resolved by ``max_n``
-reports ``converged=False`` at the cap rather than raising.
+reports ``converged=False`` at the cap rather than raising.  Partial sums
+that overflow float64 raise ``ValueError`` once their cutoff is swept.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ DEFAULT_MAX_N = 1 << 24
 _START_N = 1 << 10
 _PIECE = 1 << 16  # longest stretch of n swept at once
 _BLOCK_BYTES = 1 << 19  # float64 trie rows of one chunk over one stretch
+_RUN = 256  # values summed in float64 before a run total joins the long-double prefix
 _GRID_START = 64
 _GRID_PER_OCTAVE = 8
 _MAX_ORDER = 8
@@ -120,9 +125,9 @@ def _int_power(base, p):
 
 
 def _chunks(comps, budget):
-    """Split ``comps``, sorted by reversed entries, into runs
+    """Split ``comps``, sorted by reversed entries, into chunks
     ``comps[start:stop]`` whose tries have at most ``budget`` nodes; a
-    composition with more suffixes than that is a run of its own.  Yields
+    composition with more suffixes than that is a chunk of its own.  Yields
     ``(start, stop)``."""
     start, nodes = 0, set()
     for i, comp in enumerate(comps):
@@ -143,11 +148,11 @@ def _sweep_trie(comps, table, power_row, carries, sums):
     ordered by level so that a parent's row is done before its children's,
     and the row receives the suffix's float64 partial sums over the stretch.
     Returns ``(nodes, ends)``: ``nodes`` maps each suffix to its row, and
-    ``ends`` holds each row's last sum in extended precision.  Term values
-    are formed in float64 (per-term relative error does not accumulate);
-    only the running sums are carried in extended precision, which keeps the
-    sequential accumulation error negligible where ``np.longdouble`` is
-    wider than float64.
+    ``ends`` holds each row's last sum in extended precision.  The stretch is
+    a whole number of runs of ``_RUN`` values.  Terms and each run's running
+    sums are float64; only the prefix sums of the run totals and the carries
+    are ``np.longdouble``, and each run gets its preceding total back as
+    float64.  Every operation acts along one row.
     """
     import numpy as np
 
@@ -161,9 +166,8 @@ def _sweep_trie(comps, table, power_row, carries, sums):
     which = np.array([power_row[-s[0]] for s in suffixes])  # a row's terms are n**-s[0]
     parent = np.array([nodes.get(s[1:], 0) for s in suffixes])
     starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
-    below = starts.astype(np.float64)  # B_{j-1}(n - 1) at the first n
+    below = starts.astype(np.float64)  # the carries, B(n - 1) at the first n, in float64
     ends = np.empty_like(starts)
-    acc = np.empty(table.shape[1], dtype=np.longdouble)
     lo = 0
     for hi in bounds:
         level = sums[lo:hi]  # the level's terms, then its sums, in place
@@ -172,12 +176,14 @@ def _sweep_trie(comps, table, power_row, carries, sums):
             up = parent[lo:hi]
             level[:, 1:] *= sums[up, :-1]
             level[:, 0] *= below[up]
-        for r, row in enumerate(level, start=lo):
-            np.cumsum(row, dtype=np.longdouble, out=acc)
-            if carries:  # all zero at n = 1
-                acc += starts[r]
-            row[:] = acc
-            ends[r] = acc[-1]
+        runs = level.reshape(hi - lo, -1, _RUN)
+        np.cumsum(runs, axis=2, out=runs)
+        totals = np.cumsum(runs[:, :, -1], axis=1, dtype=np.longdouble)
+        if carries:  # all zero at n = 1
+            totals += starts[lo:hi, None]
+            runs[:, 0] += below[lo:hi, None]
+        ends[lo:hi] = totals[:, -1]
+        runs[:, 1:] += totals[:, :-1, None].astype(np.float64)
         lo = hi
     return nodes, ends
 
@@ -190,30 +196,38 @@ def _advance(comps, pos, target, carries, grid, out):
     ``grid`` in ``(pos, target]`` go to the same columns of ``out[i]``.
     Returns the carries at ``target``.  Stretches of ``n`` end at ``target``
     and at every ``_PIECE``-th value after ``pos``, whatever the batch.
+    ``ValueError`` names any composition whose sums in ``out`` are not finite.
     """
     import numpy as np
 
     powers = sorted({-e for comp in comps for e in comp})
     power_row = {power: i for i, power in enumerate(powers)}
-    for first in range(pos + 1, target + 1, _PIECE):
-        last = min(first + _PIECE - 1, target)
-        ms = np.arange(first, last + 1, dtype=np.float64)
-        lo, hi = np.searchsorted(grid, [first, last + 1])
-        cols = grid[lo:hi] - first
-        table = np.empty((len(powers), len(ms)))
-        for i, power in enumerate(powers):
-            table[i] = _int_power(ms, power)
-        budget = max(1, _BLOCK_BYTES // (8 * len(ms)))
-        # one block serves every chunk: a chunk has at most budget rows, or
-        # one composition's
-        sums = np.empty((max(budget, max(map(len, comps))), len(ms)))
-        swept = {}
-        for start, stop in _chunks(comps, budget):
-            run = comps[start:stop]
-            nodes, ends = _sweep_trie(run, table, power_row, carries, sums)
-            swept.update(zip(nodes, ends))
-            out[start:stop, lo:hi] = sums[:, cols][[nodes[comp] for comp in run]]
-        carries = swept
+    # n**p may overflow and inf * 0 give nan; such sums are rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(pos + 1, target + 1, _PIECE):
+            last = min(first + _PIECE - 1, target)
+            ms = np.arange(first, last + 1, dtype=np.float64)
+            lo, hi = np.searchsorted(grid, [first, last + 1])
+            cols = grid[lo:hi] - first
+            width = -(-len(ms) // _RUN) * _RUN  # zero terms pad a whole number of runs
+            table = np.zeros((len(powers), width))
+            for i, power in enumerate(powers):
+                table[i, : len(ms)] = _int_power(ms, power)
+            budget = max(1, _BLOCK_BYTES // (8 * width))
+            # one block serves every chunk: a chunk has at most budget rows, or
+            # one composition's
+            sums = np.empty((max(budget, max(map(len, comps))), width))
+            swept = {}
+            for start, stop in _chunks(comps, budget):
+                chunk = comps[start:stop]
+                nodes, ends = _sweep_trie(chunk, table, power_row, carries, sums)
+                swept.update(zip(nodes, ends))
+                out[start:stop, lo:hi] = sums[:, cols][[nodes[comp] for comp in chunk]]
+            carries = swept
+    bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
+    if bad:
+        more = f" (and {len(bad) - 1} more compositions)" if len(bad) > 1 else ""
+        raise ValueError(f"partial sums of {bad[0]}{more} overflow float64 by n = {target}")
     return carries
 
 

@@ -223,6 +223,19 @@ def test_verify_zero_cap_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["zeta", "[400,-397]", "--json"], ["zeta", "[200,-150]"], ["verify", "[400,-397]", "[2]"]],
+    ids=" ".join,
+)
+def test_overflowing_partial_sums_are_usage_errors(capsys, argv):
+    # n**397 overflows float64 while n**-400 underflows: the sums are nan
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflow float64" in err
+
+
+@pytest.mark.parametrize(
     "bounds, message",
     [
         (["--max-depth", "-2", "--min-entry", "1", "--max-entry", "3"], "--max-depth"),

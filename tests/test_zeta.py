@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,6 +60,48 @@ def test_truncated_sum_validation():
         zeta_truncated((1,), 100)  # divergent
     with pytest.raises(ValueError):
         zeta_truncated((2, 1), 1)  # cutoff below depth
+
+
+def nested_sum(comp, cutoff, number=Fraction):
+    """The truncated sum by the level recursion, in ``number`` arithmetic."""
+    levels = [number(1)] + [number(0)] * len(comp)  # B_j(n - 1), innermost first
+    for n in range(1, cutoff + 1):
+        for j in range(len(comp), 0, -1):
+            levels[j] += number(n) ** -comp[-j] * levels[j - 1]
+    return levels[-1]
+
+
+@pytest.mark.parametrize("comp", [(2,), (2, 1), (4, -1), (5, 0, -1)], ids=str)
+def test_truncated_sum_at_run_edges_matches_exact_sum(comp):
+    # the sweep sums runs of 256 values in float64; cutoffs just inside, at
+    # and past a run's end must keep full float64 accuracy
+    for cutoff in (1, 255, 256, 257, 1025):
+        if cutoff >= len(comp):
+            exact = nested_sum(comp, cutoff)
+            value = zeta_truncated(comp, cutoff)
+            assert abs(Fraction(value) - exact) <= 1e-15 * exact, (cutoff, value)
+
+
+@pytest.mark.parametrize("comp", [(2, 1), (4, -1)], ids=str)
+def test_truncated_sum_across_a_stretch_matches_mpmath(comp):
+    # 70,001 crosses the 2**16 stretch boundary and is no multiple of the run
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        exact = nested_sum(comp, 70_001, mpmath.mpf)
+        assert abs(zeta_truncated(comp, 70_001) - exact) <= 1e-15 * exact
+
+
+def test_overflowing_partial_sums_raise_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for comp in [(400, -397), (200, -150)]:
+            with pytest.raises(ValueError, match="overflow float64"):
+                zeta(comp, 1e-6)
+        with pytest.raises(ValueError, match="overflow float64"):
+            zeta_truncated((400, -397), 2000)
+        # n**-200 underflows at n = 100, but the sum stays finite
+        assert zeta_truncated((200, -150), 100) == pytest.approx(1.8308219467805686e-49, rel=1e-12)
+        assert zeta((60, -57), 1e-6).converged
 
 
 def test_monotone_refinement_for_nonnegative_entries():
