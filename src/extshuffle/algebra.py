@@ -157,14 +157,7 @@ class _TermSum:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self._terms)
-        for term, coef in other._terms.items():
-            c = data.get(term, 0) - coef
-            if c:
-                data[term] = c
-            else:
-                del data[term]
-        return self._from_clean(data)
+        return self + -other
 
     def __neg__(self):
         return self._from_clean({t: -c for t, c in self._terms.items()})

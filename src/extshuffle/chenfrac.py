@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import _TermSum, format_composition
-from .symbols import ChenSymbol, SymbolLinComb, symbol_product
+from .symbols import ChenSymbol, SymbolLinComb, _check_rows, symbol_product
 
 
 class VanishingDenominatorError(ArithmeticError):
@@ -39,18 +39,9 @@ class ChenFraction:
     var_indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        object.__setattr__(self, "var_indices", tuple(self.var_indices))
-        if len(self.exponents) != len(self.var_indices):
-            raise ValueError("exponent and variable rows must have equal length")
-        for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"exponents must be integers, got {e!r}")
-        for i in self.var_indices:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-                raise ValueError(f"variable indices must be positive integers, got {i!r}")
-        if len(set(self.var_indices)) != len(self.var_indices):
-            raise ValueError(f"variable indices must be distinct, got {self.var_indices}")
+        exponents, indices = _check_rows(self.exponents, self.var_indices, "variable indices")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "var_indices", indices)
 
     @property
     def depth(self) -> int:
@@ -166,6 +157,8 @@ def evaluation_panel(indices: Iterable[int], *, count: int = 8, seed: int = 0) -
     from 1..7, seeded for reproducibility.  All coordinates are positive, so
     no sum-of-variables denominator can vanish on the panel.
     """
+    if count < 1:
+        raise ValueError(f"an evaluation panel needs at least one point, got count={count}")
     indices = sorted(set(indices))
     rng = random.Random(seed)
     panel = []

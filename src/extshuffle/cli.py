@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .algebra import format_composition as _fmt
 from .chenfrac import VanishingDenominatorError, evaluate, evaluation_panel, variables
-from .convergence import first_divergent_index, is_convergent
+from .convergence import first_divergent_index
 from .parsing import (
     ParseError,
     parse_assignment,
@@ -31,20 +31,8 @@ from .symbols import symbol_product
 from .zeta import DEFAULT_MAX_N, verify_homomorphism, zeta
 
 
-def _cmd_shuffle(args) -> int:
-    result = ext_shuffle(parse_composition(args.a), parse_composition(args.b))
-    print(json.dumps(result.to_json_dict()) if args.json else result)
-    return 0
-
-
-def _cmd_stuffle(args) -> int:
-    result = stuffle(parse_composition(args.a), parse_composition(args.b))
-    print(json.dumps(result.to_json_dict()) if args.json else result)
-    return 0
-
-
-def _cmd_symbol_product(args) -> int:
-    result = symbol_product(parse_symbol(args.a), parse_symbol(args.b))
+def _cmd_product(args) -> int:
+    result = args.product(args.parse(args.a), args.parse(args.b))
     print(json.dumps(result.to_json_dict()) if args.json else result)
     return 0
 
@@ -83,24 +71,31 @@ def _cmd_fraction_eval(args) -> int:
     return 0
 
 
+def _divergence(comp):
+    """Why the series of ``comp`` diverges, or ``None`` if it converges."""
+    found = first_divergent_index(comp)
+    return found and f"partial weight at j={found[0]} is {found[1]}, requires > {found[0]}"
+
+
+def _divergent(*comps) -> bool:
+    """Report the first divergent composition as an error; whether there is one."""
+    for comp in comps:
+        reason = _divergence(comp)
+        if reason:
+            print(f"error: divergent composition {_fmt(comp)} ({reason})", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_convergent(args) -> int:
-    comp = parse_composition(args.composition)
-    if is_convergent(comp):
-        print("convergent")
-        return 0
-    j, w = first_divergent_index(comp)
-    print(f"partial weight at j={j} is {w}, requires > {j}")
-    return 1
+    reason = _divergence(parse_composition(args.composition))
+    print(reason or "convergent")
+    return 1 if reason else 0
 
 
 def _cmd_zeta(args) -> int:
     comp = parse_composition(args.composition)
-    if not is_convergent(comp):
-        j, w = first_divergent_index(comp)
-        print(
-            f"error: divergent composition (partial weight at j={j} is {w}, requires > {j})",
-            file=sys.stderr,
-        )
+    if _divergent(comp):
         return 1
     est = zeta(comp, args.tol, max_n=args.max_n)
     if args.json:
@@ -125,10 +120,8 @@ def _cmd_zeta(args) -> int:
 def _cmd_verify(args) -> int:
     a = parse_composition(args.a)
     b = parse_composition(args.b)
-    for comp in (a, b):
-        if not is_convergent(comp):
-            print(f"error: divergent composition {comp}", file=sys.stderr)
-            return 1
+    if _divergent(a, b):
+        return 1
     report = verify_homomorphism(a, b, args.tol, max_n=args.max_n)
     if args.json:
         print(
@@ -222,19 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shuffle", parents=[json_flag], help="extended shuffle product")
     p.add_argument("a", help="composition, e.g. '[1,-2]' or '1'")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_shuffle)
+    p.set_defaults(func=_cmd_product, product=ext_shuffle, parse=parse_composition)
 
     p = sub.add_parser("stuffle", parents=[json_flag], help="quasi-shuffle product")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_stuffle)
+    p.set_defaults(func=_cmd_product, product=stuffle, parse=parse_composition)
 
     p = sub.add_parser(
         "symbol-product", parents=[json_flag], help="locality product of Chen symbols"
     )
     p.add_argument("a", help="symbol, e.g. '<[1,1];[1,2]>' or '1'")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_symbol_product)
+    p.set_defaults(func=_cmd_product, product=symbol_product, parse=parse_symbol)
 
     p = sub.add_parser(
         "fraction-eval", parents=[json_flag], help="evaluate a Chen fraction exactly"

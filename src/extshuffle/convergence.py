@@ -42,6 +42,13 @@ def is_convergent(comp: Composition) -> bool:
     return True
 
 
+def require_convergent(*comps: Composition) -> None:
+    """Raise ``ValueError`` naming the first of ``comps`` whose series diverges."""
+    for comp in comps:
+        if not is_convergent(comp):
+            raise ValueError(f"composition {comp} is not convergent")
+
+
 def first_divergent_index(comp: Composition):
     """Smallest ``j`` with ``w_j <= j`` together with ``w_j``, or ``None``."""
     total = 0
@@ -72,8 +79,5 @@ def check_closure(a: Composition, b: Composition) -> bool:
     """
     a = composition(a)
     b = composition(b)
-    if not is_convergent(a):
-        raise ValueError(f"composition {a} is not convergent")
-    if not is_convergent(b):
-        raise ValueError(f"composition {b} is not convergent")
+    require_convergent(a, b)
     return all(is_convergent(term) for term in ext_shuffle(a, b).support())

@@ -159,44 +159,34 @@ def parse_lincomb(text: str) -> LinComb:
     return LinComb(terms)
 
 
-def parse_symbol(text: str) -> ChenSymbol:
+def _two_rows(text: str, opening: str, closing: str) -> tuple:
+    """The two integer rows of ``opening [ints] ; [ints] closing``, or two
+    empty rows for the unit ``1``; whitespace may follow each token."""
     cur = _Cursor(text)
     cur.skip_ws()
     if cur.take("1"):
         cur.expect_end()
-        return ChenSymbol((), ())
-    cur.expect("<")
-    cur.skip_ws()
-    exponents = cur.int_list()
+        return (), ()
+    for ch in opening:
+        cur.expect(ch)
+        cur.skip_ws()
+    top = cur.int_list()
     cur.skip_ws()
     cur.expect(";")
     cur.skip_ws()
-    labels = cur.int_list()
+    bottom = cur.int_list()
     cur.skip_ws()
-    cur.expect(">")
+    cur.expect(closing)
     cur.expect_end()
-    return ChenSymbol(exponents, labels)
+    return top, bottom
+
+
+def parse_symbol(text: str) -> ChenSymbol:
+    return ChenSymbol(*_two_rows(text, "<", ">"))
 
 
 def parse_fraction(text: str) -> ChenFraction:
-    cur = _Cursor(text)
-    cur.skip_ws()
-    if cur.take("1"):
-        cur.expect_end()
-        return ChenFraction((), ())
-    cur.expect("f")
-    cur.skip_ws()
-    cur.expect("(")
-    cur.skip_ws()
-    exponents = cur.int_list()
-    cur.skip_ws()
-    cur.expect(";")
-    cur.skip_ws()
-    indices = cur.int_list()
-    cur.skip_ws()
-    cur.expect(")")
-    cur.expect_end()
-    return ChenFraction(exponents, indices)
+    return ChenFraction(*_two_rows(text, "f(", ")"))
 
 
 def parse_assignment(text: str) -> tuple:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Composition, LinComb, composition
-from .convergence import is_convergent
+from .convergence import is_convergent, require_convergent
 from .shuffle import ext_shuffle, stuffle
 from .zeta import DEFAULT_MAX_N, _check_numeric, _estimates, zeta_of_lincomb
 
@@ -46,10 +46,7 @@ def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRela
     b = composition(b)
     if not a or not b:
         raise ValueError("the unit yields only the trivial relation")
-    if not is_convergent(a):
-        raise ValueError(f"composition {a} is not convergent")
-    if not is_convergent(b):
-        raise ValueError(f"composition {b} is not convergent")
+    require_convergent(a, b)
     star = stuffle(a, b)
     sha = ext_shuffle(a, b)
     bad = tuple(

@@ -48,12 +48,14 @@ One engine serves compositions and Chen symbols.  It works on pairs
 ``(exponents, labels)``, whose label row rides along: each zero peeled off
 a factor keeps that factor's first label.  A composition is a symbol with
 an empty label row, for which ``labels[:1]`` is empty too.  Basis products
-have integer coefficients; they are memoized, and the caches are safe to
-share between threads (a lost race only recomputes a value).
+have integer coefficients.  They are memoized with ``functools.cache``, once
+as labelled pairs and once as label-stripped compositions, and the caches
+are safe to share between threads (a lost race only recomputes a value).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .algebra import Composition, LinComb, composition
@@ -67,20 +69,6 @@ X0, X1 = 0, 1
 # ---------------------------------------------------------------------------
 # extended shuffle product
 
-_product_cache: dict = {}
-
-
-def _product(a, b):
-    """Product of two ``(exponents, labels)`` pairs, as a map from such pairs
-    to nonzero integer coefficients; never mutated once built."""
-    try:
-        return _product_cache[a, b]
-    except KeyError:
-        pass
-    result = _compute_product(a, b)
-    _product_cache[a, b] = result
-    return result
-
 
 def _put(out, coef, head, lab, terms):
     """Store ``coef * [head, terms]`` in ``out``, with ``lab`` leading the
@@ -90,7 +78,10 @@ def _put(out, coef, head, lab, terms):
     return out
 
 
-def _compute_product(a, b):
+@cache
+def _product(a, b):
+    """Product of two ``(exponents, labels)`` pairs, as a map from such pairs
+    to nonzero integer coefficients; never mutated once built."""
     (s, u), (t, v) = a, b
     if not s:
         return {b: 1}
@@ -136,18 +127,10 @@ def _compute_product(a, b):
     return {key: c for key, c in out.items() if c}
 
 
-_shuffle_cache: dict = {}
-
-
+@cache
 def _basis_product(a, b):
     """``_product`` on two compositions, with the empty label rows stripped."""
-    try:
-        return _shuffle_cache[a, b]
-    except KeyError:
-        pass
-    result = {e: c for (e, _), c in _product((a, ()), (b, ())).items()}
-    _shuffle_cache[a, b] = result
-    return result
+    return {e: c for (e, _), c in _product((a, ()), (b, ())).items()}
 
 
 def ext_shuffle(a: Composition, b: Composition) -> LinComb:
@@ -216,6 +199,7 @@ def rho_decode(word: Word) -> Composition:
     return tuple(entries)
 
 
+# hand-written memo: functools.cache adds a frame per letter, halving the longest input
 _word_cache: dict = {}
 
 
@@ -263,6 +247,7 @@ def word_from_str(text: str) -> Word:
 # ---------------------------------------------------------------------------
 # quasi-shuffle (stuffle) product
 
+# hand-written memo: functools.cache adds a frame per entry, halving the longest input
 _stuffle_cache: dict = {}
 
 

@@ -20,8 +20,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LinComb, _TermSum, format_composition
+from .algebra import LinComb, _TermSum, composition, format_composition
 from .shuffle import _product
+
+
+def _check_rows(exponents, indices, name):
+    """Both rows as tuples, after checking that the exponents are integers and
+    the ``name`` row holds as many pairwise-distinct positive integers."""
+    exponents, indices = tuple(exponents), tuple(indices)
+    if len(exponents) != len(indices):
+        raise ValueError(
+            f"rows must have equal length: {len(exponents)} exponents "
+            f"vs {len(indices)} {name}"
+        )
+    composition(exponents)
+    for u in indices:
+        if not isinstance(u, int) or isinstance(u, bool) or u < 1:
+            raise ValueError(f"{name} must be positive integers, got {u!r}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"{name} must be pairwise distinct, got {indices}")
+    return exponents, indices
 
 
 @dataclass(frozen=True)
@@ -32,21 +50,9 @@ class ChenSymbol:
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.exponents) != len(self.labels):
-            raise ValueError(
-                f"rows must have equal length: {len(self.exponents)} exponents "
-                f"vs {len(self.labels)} labels"
-            )
-        for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"exponents must be integers, got {e!r}")
-        for u in self.labels:
-            if not isinstance(u, int) or isinstance(u, bool) or u < 1:
-                raise ValueError(f"labels must be positive integers, got {u!r}")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"labels must be pairwise distinct, got {self.labels}")
+        exponents, labels = _check_rows(self.exponents, self.labels, "labels")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def depth(self) -> int:

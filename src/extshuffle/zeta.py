@@ -76,7 +76,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 from .algebra import Composition, LinComb, composition, depth
-from .convergence import is_convergent
+from .convergence import require_convergent
 from .shuffle import ext_shuffle
 
 DEFAULT_MAX_N = 1 << 24
@@ -98,11 +98,6 @@ class ZetaEstimate:
     cutoff: int
     est_error: float
     converged: bool
-
-
-def _require_convergent(comp):
-    if not is_convergent(comp):
-        raise ValueError(f"composition {comp} is not convergent")
 
 
 def _int_power(base, p):
@@ -234,7 +229,7 @@ def _advance(comps, pos, target, carries, grid, out):
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
     """Partial sum of the nested series over ``n1 <= cutoff``."""
     comp = composition(comp)
-    _require_convergent(comp)
+    require_convergent(comp)
     if cutoff < depth(comp):
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
     if not comp:
@@ -359,8 +354,7 @@ def _evaluate(comps, tol, max_n):
     """
     import numpy as np
 
-    for comp in comps:
-        _require_convergent(comp)
+    require_convergent(*comps)
     found = {(): ZetaEstimate(1.0, 0, 0.0, True)} if () in comps else {}
     pending = sorted({comp for comp in comps if comp}, key=lambda c: c[::-1])
     if not pending:
@@ -403,7 +397,7 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     otherwise ``ValueError``.
     """
     comp = composition(comp)
-    _require_convergent(comp)
+    require_convergent(comp)
     _check_numeric(tol, max_n)
     return _evaluate([comp], tol, max_n)[comp]
 
@@ -481,8 +475,7 @@ def verify_homomorphism(
     """
     a = composition(a)
     b = composition(b)
-    _require_convergent(a)
-    _require_convergent(b)
+    require_convergent(a, b)
     _check_numeric(tol, max_n)
     expansion = ext_shuffle(a, b)
     factors = _estimates(expansion.support() + [a, b], tol, max_n)

@@ -152,6 +152,16 @@ def test_panel_is_deterministic_and_positive():
     assert evaluation_panel((1, 2, 3), seed=43) != panel1
 
 
+def test_empty_panel_is_rejected():
+    # an empty panel would call any two fractions equal
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one point"):
+            evaluation_panel((1,), count=count)
+    with pytest.raises(ValueError):
+        equal_on_panel(ChenFraction((1,), (1,)), ChenFraction((2,), (1,)), count=0)
+    assert len(evaluation_panel((1,), count=1)) == 1
+
+
 def test_formal_terms_are_not_independent_but_panel_sees_through():
     # the exponent-zero fraction equals the unit as a function
     zero_exp = FractionLinComb.basis(ChenFraction((0,), (2,)))

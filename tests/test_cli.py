@@ -125,6 +125,17 @@ def test_zeta_divergent_input(capsys):
     assert "divergent" in err
 
 
+def test_verify_divergent_input(capsys):
+    code, out, err = run(capsys, "verify", "[1]", "[2]")
+    assert code == 1
+    assert out == ""
+    assert err == "error: divergent composition [1] (partial weight at j=1 is 1, requires > 1)\n"
+    code, out, err = run(capsys, "verify", "[2]", "[3,-1]")
+    assert code == 1
+    assert out == ""
+    assert "[3,-1] (partial weight at j=2 is 2" in err
+
+
 def test_zeta_json(capsys):
     code, out, _ = run(capsys, "zeta", "[3]", "--tol", "1e-6", "--json")
     assert code == 0

@@ -6,10 +6,13 @@ values of Chen fractions.  Large entries are where the engine departs from
 the unit-step recursion: its recursion descends by depth only.
 """
 
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -218,3 +221,21 @@ def test_shared_memo_under_concurrent_cold_use():
     for compositions_row, symbols_row in results:
         assert compositions_row == expected
         assert symbols_row == expected_symbols
+
+
+def test_recursion_reach_in_a_fresh_interpreter():
+    # a warm memo shortens the recursion, so the reach is measured cold; the
+    # word shuffle and the stuffle recurse once per letter or entry, and their
+    # hand-written memos add no frame per level as a cache wrapper would
+    code = (
+        "from extshuffle import ext_shuffle, stuffle, word_shuffle\n"
+        "assert stuffle((1,) * 800, (1,)).coefficient((1,) * 801) == 801\n"
+        "assert word_shuffle((0,) * 800, (1,))[(0,) * 800 + (1,)] == 1\n"
+        "assert ext_shuffle((1,) * 490, (1,)).coefficient((1,) * 491) == 491\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
