@@ -40,7 +40,11 @@ def _cmd_product(args) -> int:
 def _cmd_fraction_eval(args) -> int:
     frac = parse_fraction(args.fraction)
     if args.points:
-        point = dict(parse_assignment(p) for p in args.points)
+        point = {}
+        for index, value in map(parse_assignment, args.points):
+            if index in point:
+                raise ValueError(f"variable {index} is assigned more than once")
+            point[index] = value
         try:
             value = evaluate(frac, point)
         except VanishingDenominatorError as exc:

@@ -9,7 +9,7 @@ below certifies term by term.
 
 from __future__ import annotations
 
-from .algebra import Composition, composition
+from .algebra import Composition, composition, format_composition
 from .shuffle import ext_shuffle
 
 
@@ -34,19 +34,14 @@ def tilde_w(comp: Composition, j: int) -> int:
 
 def is_convergent(comp: Composition) -> bool:
     """Whether ``w_j > j`` for all ``1 <= j <= depth``; the unit is convergent."""
-    total = 0
-    for j, entry in enumerate(comp, start=1):
-        total += entry
-        if total <= j:
-            return False
-    return True
+    return first_divergent_index(comp) is None
 
 
 def require_convergent(*comps: Composition) -> None:
     """Raise ``ValueError`` naming the first of ``comps`` whose series diverges."""
     for comp in comps:
         if not is_convergent(comp):
-            raise ValueError(f"composition {comp} is not convergent")
+            raise ValueError(f"composition {format_composition(comp)} is not convergent")
 
 
 def first_divergent_index(comp: Composition):

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
-from .algebra import Composition, LinComb, composition, depth
+from .algebra import Composition, LinComb, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
 from .shuffle import ext_shuffle
 
@@ -98,25 +98,6 @@ class ZetaEstimate:
     cutoff: int
     est_error: float
     converged: bool
-
-
-def _int_power(base, p):
-    """``base ** p`` as a new array, for integer ``p``, by squaring; base is a
-    float64 array."""
-    if p == 0:
-        return base**0
-    n = -p if p < 0 else p
-    result = None
-    square = base
-    while n:
-        if n & 1:
-            result = square if result is None else result * square
-        n >>= 1
-        if n:
-            square = square * square
-    if p < 0:
-        return 1.0 / result
-    return result.copy() if result is base else result
 
 
 def _chunks(comps, budget):
@@ -207,7 +188,7 @@ def _advance(comps, pos, target, carries, grid, out):
             width = -(-len(ms) // _RUN) * _RUN  # zero terms pad a whole number of runs
             table = np.zeros((len(powers), width))
             for i, power in enumerate(powers):
-                table[i, : len(ms)] = _int_power(ms, power)
+                np.power(ms, power, out=table[i, : len(ms)])
             budget = max(1, _BLOCK_BYTES // (8 * width))
             # one block serves every chunk: a chunk has at most budget rows, or
             # one composition's
@@ -222,7 +203,7 @@ def _advance(comps, pos, target, carries, grid, out):
     bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
     if bad:
         more = f" (and {len(bad) - 1} more compositions)" if len(bad) > 1 else ""
-        raise ValueError(f"partial sums of {bad[0]}{more} overflow float64 by n = {target}")
+        raise ValueError(f"partial sums of {_fmt(bad[0])}{more} overflow float64 by n = {target}")
     return carries
 
 
@@ -394,12 +375,10 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     module docstring).  An estimate that does not get there by ``max_n`` is
     reported as ``converged=False``, not an exception.  ``tol`` must be
     positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``;
-    otherwise ``ValueError``.
+    otherwise ``ValueError``.  Estimates share one memo with ``zeta_of_lincomb``.
     """
     comp = composition(comp)
-    require_convergent(comp)
-    _check_numeric(tol, max_n)
-    return _evaluate([comp], tol, max_n)[comp]
+    return _estimates([comp], tol, max_n)[comp]
 
 
 _MEMO: dict = {}
@@ -410,7 +389,9 @@ memo safely: a lost race only computes an entry twice."""
 
 def _estimates(comps, tol, max_n):
     """The estimates of ``comps``, as a dict by composition, computing those
-    not in the memo in one batch."""
+    not in the memo in one batch; the only caller of ``_evaluate``.  ``tol``
+    and ``max_n`` are checked first."""
+    _check_numeric(tol, max_n)
     found = {}
     for comp in comps:
         est = _MEMO.get((comp, tol, max_n))
@@ -431,9 +412,6 @@ def zeta_of_lincomb(x: LinComb, tol: float, *, max_n: int = DEFAULT_MAX_N) -> Ze
     errors; every term must be convergent.  Terms not yet estimated at this
     ``tol`` and ``max_n`` are evaluated in one batch.
     """
-    _check_numeric(tol, max_n)
-    if not x:
-        return ZetaEstimate(0.0, 0, 0.0, True)
     terms = x.terms()
     estimates = _estimates([comp for comp, _ in terms], tol, max_n)
     total = 0.0

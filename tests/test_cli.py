@@ -90,6 +90,13 @@ def test_fraction_eval_missing_assignment(capsys):
     assert "no value assigned" in err
 
 
+def test_fraction_eval_rejects_a_repeated_variable(capsys):
+    code, out, err = run(capsys, "fraction-eval", "f([1];[1])", "1=1", "1=2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "variable 1" in err and err.count("\n") == 1
+
+
 def test_fraction_eval_panel_mode_is_seeded(capsys):
     code, out1, _ = run(capsys, "fraction-eval", "f([1];[1])", "--seed", "9")
     assert code == 0
@@ -244,6 +251,12 @@ def test_overflowing_partial_sums_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "overflow float64" in err
+
+
+def test_overflow_error_shows_the_composition_as_typed(capsys):
+    code, _, err = run(capsys, "zeta", "[400,-397]")
+    assert code == 2
+    assert "[400,-397]" in err
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,12 @@ from extshuffle import (
     stuffle,
     tilde_w,
 )
+from extshuffle.convergence import require_convergent
+
+
+def test_require_convergent_names_the_composition_as_typed():
+    with pytest.raises(ValueError, match=r"composition \[1\] is not convergent"):
+        require_convergent((2,), (1,))
 
 
 def test_tilde_w_examples():

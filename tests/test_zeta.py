@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from extshuffle import (
     ChenSymbol,
     UNIT,
+    ZetaEstimate,
     ext_shuffle,
     LinComb,
     verify_homomorphism,
@@ -379,6 +380,26 @@ def test_memo_is_safe_under_concurrent_cold_use(monkeypatch):
     for slot, row in enumerate(results):
         shift = slot % 4
         assert [row[(i - shift) % 4] for i in range(4)] == sequential
+
+
+def test_repeated_zeta_is_a_memo_lookup(monkeypatch):
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    first = zeta((3, 1), 1e-6)
+
+    def no_sweep(*args):
+        raise AssertionError("swept a memoized composition again")
+
+    monkeypatch.setattr(ZETA_MODULE, "_evaluate", no_sweep)
+    assert zeta((3, 1), 1e-6) == first
+
+
+def test_zeta_of_the_zero_combination():
+    assert zeta_of_lincomb(LinComb.zero(), 1e-6) == ZetaEstimate(0.0, 0, 0.0, True)
+
+
+def test_zeta_checks_the_tolerance_before_convergence():
+    with pytest.raises(ValueError, match="tolerance"):
+        zeta((1,), float("inf"))
 
 
 @pytest.mark.parametrize("tol, max_n", [(float("inf"), 1 << 24), (1e-6, 1024)])
