@@ -30,6 +30,7 @@ from .chenfrac import (
     variables,
 )
 from .convergence import (
+    DivergentError,
     check_closure,
     first_divergent_index,
     is_convergent,

@@ -61,17 +61,15 @@ class ChenFraction:
             raise ValueError(f"no value assigned to variable index {missing[0]}")
         value = Fraction(1)
         suffix = Fraction(0)
-        factors = []
-        for j in range(self.depth - 1, -1, -1):
+        for j in range(self.depth - 1, -1, -1):  # innermost factor first
             suffix += Fraction(point[self.var_indices[j]])
-            factors.append((self.exponents[j], suffix, j))
-        for s, linear, j in factors:
+            s = self.exponents[j]
             if s > 0:
-                if linear == 0:
+                if suffix == 0:
                     raise VanishingDenominatorError(self.var_indices[j:])
-                value /= linear**s
+                value /= suffix**s
             elif s < 0:
-                value *= linear ** (-s)
+                value *= suffix ** (-s)
         return value
 
 

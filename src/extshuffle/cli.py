@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success or a passing check; 1 on a failing check (a
-relation scan fails if any relation does), a divergent or non-converged
-result, or a reader that closed standard output early; 2 on usage errors
-(including unparseable arguments, and inputs too large for the process to
-compute).  All data output is deterministic given the flags.
+Exit codes, all set in ``main``: 0 on success or a passing check; 1 on a
+failing check (a relation scan fails if any relation does), a divergent
+composition, a vanishing denominator, a non-converged result, or a reader
+that closed standard output early; 2 on usage errors (unparseable or bad
+arguments, checked before convergence, and inputs too large for the process
+to compute).  All data output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ import sys
 from . import __version__
 from .algebra import format_composition as _fmt
 from .chenfrac import VanishingDenominatorError, evaluate, evaluation_panel, variables
-from .convergence import first_divergent_index
-from .parsing import (
-    ParseError,
-    parse_assignment,
-    parse_composition,
-    parse_fraction,
-    parse_symbol,
-)
+from .convergence import DivergentError, require_convergent
+from .parsing import parse_assignment, parse_composition, parse_fraction, parse_symbol
 from .relations import enumerate_relations
 from .shuffle import ext_shuffle, stuffle
 from .symbols import symbol_product
@@ -45,11 +40,7 @@ def _cmd_fraction_eval(args) -> int:
             if index in point:
                 raise ValueError(f"variable {index} is assigned more than once")
             point[index] = value
-        try:
-            value = evaluate(frac, point)
-        except VanishingDenominatorError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        value = evaluate(frac, point)
         if args.json:
             print(json.dumps({"fraction": str(frac), "value": str(value)}))
         else:
@@ -75,33 +66,18 @@ def _cmd_fraction_eval(args) -> int:
     return 0
 
 
-def _divergence(comp):
-    """Why the series of ``comp`` diverges, or ``None`` if it converges."""
-    found = first_divergent_index(comp)
-    return found and f"partial weight at j={found[0]} is {found[1]}, requires > {found[0]}"
-
-
-def _divergent(*comps) -> bool:
-    """Report the first divergent composition as an error; whether there is one."""
-    for comp in comps:
-        reason = _divergence(comp)
-        if reason:
-            print(f"error: divergent composition {_fmt(comp)} ({reason})", file=sys.stderr)
-            return True
-    return False
-
-
 def _cmd_convergent(args) -> int:
-    reason = _divergence(parse_composition(args.composition))
-    print(reason or "convergent")
-    return 1 if reason else 0
+    try:
+        require_convergent(parse_composition(args.composition))
+    except DivergentError as exc:
+        print(exc.reason)
+        return 1
+    print("convergent")
+    return 0
 
 
 def _cmd_zeta(args) -> int:
-    comp = parse_composition(args.composition)
-    if _divergent(comp):
-        return 1
-    est = zeta(comp, args.tol, max_n=args.max_n)
+    est = zeta(parse_composition(args.composition), args.tol, max_n=args.max_n)
     if args.json:
         print(
             json.dumps(
@@ -124,8 +100,6 @@ def _cmd_zeta(args) -> int:
 def _cmd_verify(args) -> int:
     a = parse_composition(args.a)
     b = parse_composition(args.b)
-    if _divergent(a, b):
-        return 1
     report = verify_homomorphism(a, b, args.tol, max_n=args.max_n)
     if args.json:
         print(
@@ -287,7 +261,13 @@ def main(argv=None) -> int:
         # devnull so the interpreter's final flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, ValueError, TypeError) as exc:
+    except DivergentError as exc:
+        print(f"error: divergent composition {_fmt(exc.comp)} ({exc.reason})", file=sys.stderr)
+        return 1
+    except VanishingDenominatorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, TypeError) as exc:
         # bad arguments of any kind are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,7 +275,3 @@ def main(argv=None) -> int:
         # an input too large for this process is a usage error, not a crash
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -37,11 +37,22 @@ def is_convergent(comp: Composition) -> bool:
     return first_divergent_index(comp) is None
 
 
+class DivergentError(ValueError):
+    """A composition outside the convergent subspace; ``reason`` names its
+    first partial weight with ``w_j <= j``."""
+
+    def __init__(self, comp, j, w):
+        self.comp = comp
+        self.reason = f"partial weight at j={j} is {w}, requires > {j}"
+        super().__init__(f"composition {format_composition(comp)} is not convergent ({self.reason})")
+
+
 def require_convergent(*comps: Composition) -> None:
-    """Raise ``ValueError`` naming the first of ``comps`` whose series diverges."""
+    """Raise ``DivergentError`` for the first of ``comps`` whose series diverges."""
     for comp in comps:
-        if not is_convergent(comp):
-            raise ValueError(f"composition {format_composition(comp)} is not convergent")
+        found = first_divergent_index(comp)
+        if found:
+            raise DivergentError(comp, *found)
 
 
 def first_divergent_index(comp: Composition):

@@ -154,8 +154,6 @@ def parse_lincomb(text: str) -> LinComb:
         first = False
         cur.skip_ws()
     cur.expect_end()
-    if not terms:
-        raise cur.error("expected a linear combination")
     return LinComb(terms)
 
 

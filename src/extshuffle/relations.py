@@ -5,10 +5,12 @@ quasi-shuffle expansion yields a rational linear combination in the kernel
 of the series map.  The generator below enumerates such relations at desk
 scale and certifies each numerically.
 
-Shuffle products of convergent compositions stay convergent; the analogous
-closure for the quasi-shuffle at negative entries holds empirically but is
-not certified here, so pairs producing a non-convergent quasi-shuffle term
-are skipped with a record instead of raising.
+Shuffle products of convergent compositions stay convergent, and so do
+quasi-shuffle products: the first ``k`` entries of a quasi-shuffle term merge
+the first ``i`` entries of ``a`` and the first ``j`` of ``b``, ``k <= i + j``,
+so ``w_k = w_i(a) + w_j(b)``, which is ``>= i + j + 2 > k`` when ``i, j >= 1``
+and ``w_i(a) > i = k`` when ``j = 0``.  No pair is ever skipped; the skip
+record stays because ``RelationScan.skipped`` is public.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class DoubleShuffleRelation:
 def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRelation:
     """The relation ``stuffle(a,b) - ext_shuffle(a,b)`` for convergent a, b.
 
-    Basis terms of the difference that are not convergent (possible only on
-    the quasi-shuffle side) are flagged in the result rather than raised.
+    Basis terms of the difference that are not convergent (none, by the
+    module note) are flagged in the result rather than raised.
     """
     a = composition(a)
     b = composition(b)

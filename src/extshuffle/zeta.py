@@ -210,9 +210,9 @@ def _advance(comps, pos, target, carries, grid, out):
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
     """Partial sum of the nested series over ``n1 <= cutoff``."""
     comp = composition(comp)
-    require_convergent(comp)
     if cutoff < depth(comp):
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
+    require_convergent(comp)
     if not comp:
         return 1.0
 
@@ -375,7 +375,8 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     module docstring).  An estimate that does not get there by ``max_n`` is
     reported as ``converged=False``, not an exception.  ``tol`` must be
     positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``;
-    otherwise ``ValueError``.  Estimates share one memo with ``zeta_of_lincomb``.
+    otherwise ``ValueError``.  Only then does a divergent ``comp`` raise
+    ``DivergentError``.  Estimates share one memo with ``zeta_of_lincomb``.
     """
     comp = composition(comp)
     return _estimates([comp], tol, max_n)[comp]
@@ -453,8 +454,8 @@ def verify_homomorphism(
     """
     a = composition(a)
     b = composition(b)
-    require_convergent(a, b)
     _check_numeric(tol, max_n)
+    require_convergent(a, b)
     expansion = ext_shuffle(a, b)
     factors = _estimates(expansion.support() + [a, b], tol, max_n)
     lhs = zeta_of_lincomb(expansion, tol, max_n=max_n)

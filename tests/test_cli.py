@@ -97,6 +97,17 @@ def test_fraction_eval_rejects_a_repeated_variable(capsys):
     assert err.startswith("error:") and "variable 1" in err and err.count("\n") == 1
 
 
+def test_fraction_eval_json(capsys):
+    code, out, _ = run(capsys, "fraction-eval", "f([1,1];[1,2])", "1=1", "2=1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"fraction": "f([1,1];[1,2])", "value": "1/2"}
+    code, out, _ = run(capsys, "fraction-eval", "f([1,1];[1,2])", "--json")
+    assert code == 0
+    panel = json.loads(out)["panel"]
+    assert len(panel) == 8
+    assert all(set(row) == {"point", "value"} for row in panel)
+
+
 def test_fraction_eval_panel_mode_is_seeded(capsys):
     code, out1, _ = run(capsys, "fraction-eval", "f([1];[1])", "--seed", "9")
     assert code == 0
@@ -141,6 +152,14 @@ def test_verify_divergent_input(capsys):
     assert code == 1
     assert out == ""
     assert "[3,-1] (partial weight at j=2 is 2" in err
+
+
+@pytest.mark.parametrize("argv", [("zeta", "[1]"), ("verify", "[1]", "[2]")], ids=str)
+def test_bad_tolerance_on_a_divergent_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance")
 
 
 def test_zeta_json(capsys):

@@ -15,12 +15,20 @@ from extshuffle import (
     stuffle,
     tilde_w,
 )
-from extshuffle.convergence import require_convergent
+from extshuffle.convergence import DivergentError, require_convergent
 
 
 def test_require_convergent_names_the_composition_as_typed():
     with pytest.raises(ValueError, match=r"composition \[1\] is not convergent"):
         require_convergent((2,), (1,))
+
+
+def test_divergent_error_carries_the_composition_and_the_reason():
+    with pytest.raises(DivergentError) as info:
+        require_convergent((2,), (3, -1))
+    assert isinstance(info.value, ValueError)
+    assert info.value.comp == (3, -1)
+    assert info.value.reason == "partial weight at j=2 is 2, requires > 2"
 
 
 def test_tilde_w_examples():

@@ -415,3 +415,19 @@ def test_numeric_arguments_are_checked_before_any_work(monkeypatch, tol, max_n):
         zeta_of_lincomb(LinComb.basis((2,)), tol, max_n=max_n)
     with pytest.raises(ValueError, match="tolerance|max_n"):
         verify_homomorphism((2,), (3,), tol, max_n=max_n)
+
+
+def test_verify_checks_the_tolerance_before_convergence():
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_homomorphism((1,), (2,), float("inf"))
+
+
+def test_truncated_sum_checks_the_cutoff_before_convergence():
+    with pytest.raises(ValueError, match="cutoff 0 is below the depth 1"):
+        zeta_truncated((1,), 0)
+
+
+def test_a_first_cutoff_with_one_fit_order_keeps_doubling():
+    # at 2**10 a depth-8 grid leaves a single fit order, so no error estimate
+    assert zeta((2,) + (1,) * 7, 1e3).cutoff == 2048
+    assert zeta((2,) + (1,) * 6, 1e3).cutoff == 1024
