@@ -51,6 +51,10 @@ an empty label row, for which ``labels[:1]`` is empty too.  Basis products
 have integer coefficients.  They are memoized with ``functools.cache``, once
 as labelled pairs and once as label-stripped compositions, and the caches
 are safe to share between threads (a lost race only recomputes a value).
+
+The word shuffle and the quasi-shuffle (stuffle) share ``_interleave``, which
+fills the table over suffix pairs iteratively and so does not recurse.  Its
+``functools.cache`` holds top-level pairs only.
 """
 
 from __future__ import annotations
@@ -165,7 +169,8 @@ def is_leading_positive(x: LinComb) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# classical word shuffle, the independent oracle on all-positive compositions
+# classical word shuffle, the independent oracle on all-positive compositions,
+# and the quasi-shuffle (stuffle) product
 
 
 def rho_encode(comp: Composition) -> Word:
@@ -199,41 +204,6 @@ def rho_decode(word: Word) -> Composition:
     return tuple(entries)
 
 
-# hand-written memo: functools.cache adds a frame per letter, halving the longest input
-_word_cache: dict = {}
-
-
-def _word_shuffle(u, v):
-    try:
-        return _word_cache[u, v]
-    except KeyError:
-        pass
-    if not u:
-        result = {v: 1}
-    elif not v:
-        result = {u: 1}
-    else:
-        acc: dict = {}
-        for w, c in _word_shuffle(u[1:], v).items():
-            key = (u[0],) + w
-            acc[key] = acc.get(key, 0) + c
-        for w, c in _word_shuffle(u, v[1:]).items():
-            key = (v[0],) + w
-            acc[key] = acc.get(key, 0) + c
-        result = acc
-    _word_cache[u, v] = result
-    return result
-
-
-def word_shuffle(u: Word, v: Word) -> dict:
-    """Classical shuffle ``a w1 x b w2 = a(w1 x b w2) + b(a w1 x w2)``.
-
-    Returns a map word -> integer multiplicity.  Kept independent of the
-    composition-level recursion so it can serve as an oracle for it.
-    """
-    return dict(_word_shuffle(tuple(u), tuple(v)))
-
-
 def word_to_str(word: Word) -> str:
     return "".join(str(letter) for letter in word)
 
@@ -244,36 +214,37 @@ def word_from_str(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
-# ---------------------------------------------------------------------------
-# quasi-shuffle (stuffle) product
+@cache
+def _interleave(a, b, merge):
+    """The interleavings of the tuples ``a`` and ``b`` that keep the order of
+    each, by multiplicity; with ``merge`` a step may also take both heads as
+    their sum.  The table over suffix pairs is filled from the ends inward,
+    keeping one row, so nothing recurses; both products are commutative, so
+    the row runs along the shorter factor.  Never mutated once built."""
+    if len(a) < len(b):
+        a, b = b, a
+    below = [{b[j:]: 1} for j in range(len(b) + 1)]
+    for i in range(len(a) - 1, -1, -1):
+        row = [None] * len(b) + [{a[i:]: 1}]
+        for j in range(len(b) - 1, -1, -1):
+            steps = [(a[i], below[j]), (b[j], row[j + 1])]
+            if merge:
+                steps.append((a[i] + b[j], below[j + 1]))
+            acc: dict = {}
+            for head, sub in steps:
+                for w, c in sub.items():
+                    key = (head,) + w
+                    acc[key] = acc.get(key, 0) + c
+            row[j] = acc
+        below = row
+    return below[0]
 
-# hand-written memo: functools.cache adds a frame per entry, halving the longest input
-_stuffle_cache: dict = {}
 
-
-def _stuffle_basis(a, b):
-    try:
-        return _stuffle_cache[a, b]
-    except KeyError:
-        pass
-    if not a:
-        result = {b: 1}
-    elif not b:
-        result = {a: 1}
-    else:
-        acc: dict = {}
-        for comp, c in _stuffle_basis(a[1:], b).items():
-            key = (a[0],) + comp
-            acc[key] = acc.get(key, 0) + c
-        for comp, c in _stuffle_basis(a, b[1:]).items():
-            key = (b[0],) + comp
-            acc[key] = acc.get(key, 0) + c
-        for comp, c in _stuffle_basis(a[1:], b[1:]).items():
-            key = (a[0] + b[0],) + comp
-            acc[key] = acc.get(key, 0) + c
-        result = acc
-    _stuffle_cache[a, b] = result
-    return result
+def word_shuffle(u: Word, v: Word) -> dict:
+    """Classical shuffle ``a w1 x b w2 = a(w1 x b w2) + b(a w1 x w2)``, as a
+    map word -> integer multiplicity.  Kept independent of the composition
+    engine so it can serve as an oracle for it."""
+    return dict(_interleave(tuple(u), tuple(v), False))
 
 
 def stuffle(a: Composition, b: Composition) -> LinComb:
@@ -284,4 +255,4 @@ def stuffle(a: Composition, b: Composition) -> LinComb:
     """
     a = composition(a)
     b = composition(b)
-    return LinComb._from_clean(dict(_stuffle_basis(a, b)))
+    return LinComb._from_clean(dict(_interleave(a, b, True)))

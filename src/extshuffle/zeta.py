@@ -74,6 +74,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from numbers import Integral
 
 from .algebra import Composition, LinComb, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
@@ -210,6 +211,8 @@ def _advance(comps, pos, target, carries, grid, out):
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
     """Partial sum of the nested series over ``n1 <= cutoff``."""
     comp = composition(comp)
+    if not isinstance(cutoff, Integral):
+        raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < depth(comp):
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
     require_convergent(comp)
@@ -321,6 +324,8 @@ def _extrapolate(sums, cutoff, k):
 def _check_numeric(tol, max_n):
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not isinstance(max_n, Integral):
+        raise TypeError(f"max_n must be an integer, got {max_n!r}")
     if max_n <= _START_N:
         raise ValueError(
             f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
@@ -375,8 +380,8 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     module docstring).  An estimate that does not get there by ``max_n`` is
     reported as ``converged=False``, not an exception.  ``tol`` must be
     positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``;
-    otherwise ``ValueError``.  Only then does a divergent ``comp`` raise
-    ``DivergentError``.  Estimates share one memo with ``zeta_of_lincomb``.
+    otherwise ``ValueError`` (``TypeError`` for a ``max_n`` that is not an
+    integer).  Only then does a divergent ``comp`` raise ``DivergentError``.  Estimates share one memo with ``zeta_of_lincomb``.
     """
     comp = composition(comp)
     return _estimates([comp], tol, max_n)[comp]

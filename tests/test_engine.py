@@ -225,13 +225,36 @@ def test_shared_memo_under_concurrent_cold_use():
 
 def test_recursion_reach_in_a_fresh_interpreter():
     # a warm memo shortens the recursion, so the reach is measured cold; the
-    # word shuffle and the stuffle recurse once per letter or entry, and their
-    # hand-written memos add no frame per level as a cache wrapper would
+    # word shuffle and the stuffle fill a table over suffix pairs without
+    # recursing, and the engine recurses once per unit of depth sum
     code = (
         "from extshuffle import ext_shuffle, stuffle, word_shuffle\n"
         "assert stuffle((1,) * 800, (1,)).coefficient((1,) * 801) == 801\n"
         "assert word_shuffle((0,) * 800, (1,))[(0,) * 800 + (1,)] == 1\n"
         "assert ext_shuffle((1,) * 490, (1,)).coefficient((1,) * 491) == 491\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_word_shuffle_and_stuffle_need_no_recursion_and_little_memory():
+    # at recursion limit 100 and, on Linux, a 256 MB address space; a memo
+    # of every suffix pair of these inputs, or a table row along the longer
+    # factor, needs more
+    code = (
+        "import sys\n"
+        "from extshuffle import stuffle, word_shuffle\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    import resource\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "sys.setrecursionlimit(100)\n"
+        "assert stuffle((1,) * 500, (1,)).coefficient((1,) * 501) == 501\n"
+        "assert word_shuffle((0,) * 500, (1,))[(0,) * 500 + (1,)] == 1\n"
+        "assert word_shuffle((1,), (0,) * 500)[(0,) * 500 + (1,)] == 1\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,21 @@ def test_word_str_round_trip():
         word_from_str("012")
 
 
+def words(max_length=7):
+    return st.lists(st.integers(0, 1), max_size=max_length).map(tuple)
+
+
+@given(words(), words())
+def test_word_shuffle_matches_brute_force(u, v):
+    # each interleaving is a choice of the positions that the letters of u take
+    length = len(u) + len(v)
+    expected = Counter()
+    for places in combinations(range(length), len(u)):
+        left, right = iter(u), iter(v)
+        expected[tuple(next(left if i in places else right) for i in range(length))] += 1
+    assert word_shuffle(u, v) == dict(expected)
+
+
 @given(compositions(1, 4, 3), compositions(1, 4, 3))
 def test_classical_restriction_matches_word_shuffle(a, b):
     encoded = {rho_encode(t): c for t, c in ext_shuffle(a, b).items()}
@@ -237,6 +254,29 @@ def test_stuffle_examples():
     assert stuffle((2,), (3,)) == lc(((2, 3), 1), ((3, 2), 1), ((5,), 1))
     assert stuffle((0,), (0,)) == lc(((0, 0), 2), ((0,), 1))
     assert stuffle(UNIT, (-1,)) == LinComb.basis((-1,))
+
+
+@given(compositions(-3, 4, 4), compositions(-3, 4, 4))
+def test_stuffle_matches_brute_force(a, b):
+    # each term is a sequence of moves: take the next entry of a, of b, or
+    # of both at once, merged; a sequence with `both` merges has
+    # len(a) + len(b) - both moves
+    expected = Counter()
+    for both in range(min(len(a), len(b)) + 1):
+        for moves in product("abm", repeat=len(a) + len(b) - both):
+            if moves.count("m") != both or moves.count("a") != len(a) - both:
+                continue
+            left, right = iter(a), iter(b)
+            term = []
+            for move in moves:
+                if move == "a":
+                    term.append(next(left))
+                elif move == "b":
+                    term.append(next(right))
+                else:
+                    term.append(next(left) + next(right))
+            expected[tuple(term)] += 1
+    assert stuffle(a, b) == LinComb(expected.items())
 
 
 @given(compositions(-3, 3, 3), compositions(-3, 3, 3))

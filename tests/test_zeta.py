@@ -427,6 +427,26 @@ def test_truncated_sum_checks_the_cutoff_before_convergence():
         zeta_truncated((1,), 0)
 
 
+def test_a_float_cap_or_cutoff_is_a_type_error_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("worked before checking the arguments")
+
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    monkeypatch.setattr(ZETA_MODULE, "_evaluate", no_work)
+    monkeypatch.setattr(ZETA_MODULE, "_advance", no_work)
+    with pytest.raises(TypeError, match="max_n must be an integer, got 1000000.0"):
+        zeta((2,), 1e-6, max_n=1e6)
+    with pytest.raises(TypeError, match="max_n must be an integer"):
+        verify_homomorphism((2,), (3,), 1e-4, max_n=1e5)
+    with pytest.raises(TypeError, match="cutoff must be an integer, got 100.0"):
+        zeta_truncated((2,), 100.0)
+
+
+def test_a_numpy_integer_cap_or_cutoff_still_computes():
+    assert zeta((2,), 1e-6, max_n=np.int64(4096)) == zeta((2,), 1e-6, max_n=4096)
+    assert zeta_truncated((2,), np.int64(100)) == zeta_truncated((2,), 100)
+
+
 def test_a_first_cutoff_with_one_fit_order_keeps_doubling():
     # at 2**10 a depth-8 grid leaves a single fit order, so no error estimate
     assert zeta((2,) + (1,) * 7, 1e3).cutoff == 2048
