@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
 
     numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cutoff cap, above 1024")
+    numeric.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cutoff cap, above 1024, at most 2**53")
 
     p = sub.add_parser("shuffle", parents=[json_flag], help="extended shuffle product")
     p.add_argument("a", help="composition, e.g. '[1,-2]' or '1'")

@@ -43,8 +43,12 @@ about 8 points per octave from 64 to ``N``, straight out of the block's
 cumulative array, and fits the expansion by least squares, truncated after
 order ``p`` (the powers ``1/N**i`` with ``i <= p``).  The constant term of a
 fit is one dot product with a row that depends only on the grid, the depth
-and the order; those rows are computed once, in 40-digit decimal arithmetic
-because the design matrices are ill-conditioned, and cached.
+and the order; those rows are computed once and cached.  The design matrices
+are ill-conditioned, so float64 cannot solve them: the columns are scaled
+exactly to integers, their Gram matrix is formed exactly in integers, its
+Cholesky factor is computed in 80-digit decimals, and each row is summed
+exactly and rounded to float64 once (the normal equations, as in Bjorck,
+Numerical Methods for Least Squares Problems, SIAM 1996).
 
 The error estimate compares four fits: orders ``p`` and ``p - 1``, each on
 the full grid and on the grid without its lowest quarter.  ``value`` is the
@@ -75,6 +79,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from numbers import Integral
+from operator import mul
 
 from .algebra import Composition, LinComb, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
@@ -89,6 +94,7 @@ _GRID_START = 64
 _GRID_PER_OCTAVE = 8
 _MAX_ORDER = 8
 _EPS = 2.0**-52  # float64 machine epsilon; the grid sums are read as float64
+_MAX_CUTOFF = 1 << 53  # the sweep holds n as float64, which is exact up to here
 
 
 @dataclass(frozen=True)
@@ -209,10 +215,12 @@ def _advance(comps, pos, target, carries, grid, out):
 
 
 def zeta_truncated(comp: Composition, cutoff: int) -> float:
-    """Partial sum of the nested series over ``n1 <= cutoff``."""
+    """Partial sum of the nested series over ``n1 <= cutoff``.
+
+    ``cutoff`` is an integer (not a bool) from the depth up to ``2**53``.
+    """
     comp = composition(comp)
-    if not isinstance(cutoff, Integral):
-        raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
+    _check_cap("cutoff", cutoff)
     if cutoff < depth(comp):
         raise ValueError(f"cutoff {cutoff} is below the depth {depth(comp)}")
     require_convergent(comp)
@@ -240,33 +248,51 @@ def _grid(cutoff):
     return grid
 
 
-def _constant_rows(columns):
-    """Rows ``r_m`` such that ``r_m @ y`` is the constant term of the least-squares
-    fit of ``y`` on the first ``m`` columns, for every ``m``.
+def _constant_rows(columns, sizes):
+    """Rows ``r_m``, one for each ``m`` in ``sizes``, such that ``r_m @ y`` is
+    the constant term of the least-squares fit of ``y`` on ``columns[:m]``.
 
-    ``columns[0]`` is the constant column.  Modified Gram-Schmidt in 40-digit
-    decimals: with ``A = QR``, the constant term is ``(R^-1 Q^T y)[0]``, and
-    since ``R`` is triangular the rows for successive prefixes of the columns
-    are prefix sums of ``(R^-1)[0, c] * q_c``.
+    ``columns[0]`` is the constant column.  The row is ``A_m x`` with
+    ``G_m x = e_0``, where ``A_m`` holds the first ``m`` columns and ``G_m`` is
+    the leading block of the Gram matrix ``G = A^T A``.  The float64 columns
+    are scaled exactly to integers at one power of two, so ``G`` is exact.
+    ``G = L L^T`` is factored in 80-digit decimals, and ``L``'s leading block
+    factors ``G_m``, so one forward substitution ``L z = e_0`` serves every
+    ``m``, then one back substitution ``L_m^T x = z[:m]`` per ``m``.  Each row
+    is summed exactly in integers, with ``x`` as exact decimals in fixed point,
+    and rounded to float64 once.
     """
+    import numpy as np
+
+    mantissas, exponents = np.frexp(np.array(columns))
+    low = int(exponents.min())
+    scale = 1 << (53 - low)  # every value times scale is an integer
+    a = [
+        list(map(int.__lshift__, m, e))
+        for m, e in zip((mantissas * 2.0**53).astype(np.int64).tolist(), (exponents - low).tolist())
+    ]
     with localcontext() as ctx:
-        ctx.prec = 40
-        basis, weights, rows = [], [], []
-        row = [Decimal(0)] * len(columns[0])
-        for col in columns:
-            v = [Decimal(x) for x in col]
-            proj = []
-            for q in basis:
-                d = sum(a * b for a, b in zip(q, v))
-                proj.append(d)
-                v = [a - d * b for a, b in zip(v, q)]
-            norm = sum(a * a for a in v).sqrt()
-            q = [a / norm for a in v]
-            weight = ((0 if basis else 1) - sum(w * d for w, d in zip(weights, proj))) / norm
-            basis.append(q)
-            weights.append(weight)
-            row = [a + weight * b for a, b in zip(row, q)]
-            rows.append([float(a) for a in row])
+        ctx.prec = 80
+        chol, z = [], []
+        for i, col in enumerate(a):
+            row = []
+            for j in range(i):
+                row.append((sum(map(mul, col, a[j])) - sum(map(mul, row, chol[j]))) / chol[j][j])
+            row.append((Decimal(sum(map(mul, col, col))) - sum(map(mul, row, row))).sqrt())
+            chol.append(row)
+            z.append(((0 if i else 1) - sum(map(mul, row, z))) / row[i])
+        below = [[chol[k][i] for k in range(i + 1, len(a))] for i in range(len(a))]
+        by_point = list(zip(*a))
+        rows = []
+        for m in sizes:
+            x = [Decimal(0)] * m
+            for i in reversed(range(m)):
+                x[i] = (z[i] - sum(map(mul, below[i], x[i + 1 : m]))) / chol[i][i]
+            # x[i] has at most 80 digits, so x[i] * 10**shift is an integer
+            shift = max(0, ctx.prec - 1 - min(v.adjusted() for v in x))
+            fixed = [int(v.scaleb(shift)) for v in x]
+            den = 10**shift
+            rows.append([sum(map(mul, point, fixed)) * scale / den for point in by_point])
         return rows
 
 
@@ -277,7 +303,9 @@ def _fit_rows(cutoff, k):
     without its lowest quarter.  ``rows[p - 1]`` is the order-``p`` row over
     ``grid[start:]`` and ``norms`` their 1-norms.  Orders run up to the
     largest whose ``1 + p * k`` unknowns are at most half the grid points,
-    capped at ``_MAX_ORDER``; there may be none."""
+    capped at ``_MAX_ORDER``; there may be none.  ``_constant_rows`` solves
+    the normal equations of the float64 columns with their exact Gram matrix,
+    so each entry is the exact row, to 80-digit accuracy, rounded once."""
     import numpy as np
 
     grid = _grid(cutoff).astype(np.float64)
@@ -290,7 +318,8 @@ def _fit_rows(cutoff, k):
         columns = [np.ones_like(n)]
         for i in range(1, orders + 1):
             columns += [t**i * u**j for j in range(k)]
-        rows = np.array(_constant_rows(columns)[k::k]) if orders else np.empty((0, len(n)))
+        sizes = range(1 + k, len(columns) + 1, k)
+        rows = np.array(_constant_rows(columns, sizes)) if orders else np.empty((0, len(n)))
         rows.flags.writeable = False  # shared by every caller through the cache
         fits.append((start, rows, np.abs(rows).sum(axis=1)))
     return tuple(fits)
@@ -321,11 +350,19 @@ def _extrapolate(sums, cutoff, k):
     return value[pick, best], est[pick, best]
 
 
+def _check_cap(name, value):
+    """``TypeError`` unless ``value`` is an integer other than a bool,
+    ``ValueError`` if it is above ``_MAX_CUTOFF``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value > _MAX_CUTOFF:
+        raise ValueError(f"{name} must be at most 2**53, where float64 n stops being exact; got {value}")
+
+
 def _check_numeric(tol, max_n):
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if not isinstance(max_n, Integral):
-        raise TypeError(f"max_n must be an integer, got {max_n!r}")
+    _check_cap("max_n", max_n)
     if max_n <= _START_N:
         raise ValueError(
             f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
@@ -379,9 +416,11 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     cutoff, up to ``max_n``, until the fits agree within ``tol / 2`` (see the
     module docstring).  An estimate that does not get there by ``max_n`` is
     reported as ``converged=False``, not an exception.  ``tol`` must be
-    positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``;
-    otherwise ``ValueError`` (``TypeError`` for a ``max_n`` that is not an
-    integer).  Only then does a divergent ``comp`` raise ``DivergentError``.  Estimates share one memo with ``zeta_of_lincomb``.
+    positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``
+    and be at most ``2**53``, where float64 ``n`` stops being exact; otherwise
+    ``ValueError`` (``TypeError`` for a ``max_n`` that is not an integer, or is
+    a bool).  Only then does a divergent ``comp`` raise ``DivergentError``.
+    Estimates share one memo with ``zeta_of_lincomb``.
     """
     comp = composition(comp)
     return _estimates([comp], tol, max_n)[comp]

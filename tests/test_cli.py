@@ -245,6 +245,22 @@ def test_zeta_cap_without_two_checkpoints_is_usage_error(capsys, max_n):
     assert err.startswith("error:") and "max_n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "[2]"),
+        ("verify", "[2]", "[3]"),
+        ("relations", "--max-depth", "1", "--min-entry", "2", "--max-entry", "2"),
+    ],
+    ids=["zeta", "verify", "relations"],
+)
+def test_cap_beyond_exact_float64_n_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-n", str(2**63))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_n" in err and len(err.splitlines()) == 1
+
+
 def test_verify_infinite_tolerance_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "[2]", "[3]", "--tol", "inf")
     assert code == 2

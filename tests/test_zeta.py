@@ -3,6 +3,7 @@ import threading
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from extshuffle import (
     zeta_truncated,
 )
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _evaluate
+from extshuffle.zeta import _evaluate, _fit_rows
+from reference_rows import reference_rows
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
 
@@ -442,6 +444,34 @@ def test_a_float_cap_or_cutoff_is_a_type_error_before_any_work(monkeypatch):
         zeta_truncated((2,), 100.0)
 
 
+def test_a_cap_or_cutoff_beyond_exact_float64_n_is_rejected_before_any_work(monkeypatch):
+    # the sweep holds n as float64, exact only up to 2**53
+    def no_work(*args):
+        raise AssertionError("worked before checking the arguments")
+
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    monkeypatch.setattr(ZETA_MODULE, "_evaluate", no_work)
+    monkeypatch.setattr(ZETA_MODULE, "_advance", no_work)
+    for cap in (2**53 + 1, 2**63):
+        with pytest.raises(ValueError, match=r"max_n must be at most 2\*\*53"):
+            zeta((2,), 1e-6, max_n=cap)
+        with pytest.raises(ValueError, match=r"max_n must be at most 2\*\*53"):
+            verify_homomorphism((2,), (3,), 1e-4, max_n=cap)
+        with pytest.raises(ValueError, match=r"max_n must be at most 2\*\*53"):
+            zeta_of_lincomb(LinComb.basis((2,)), 1e-6, max_n=cap)
+        with pytest.raises(ValueError, match=r"cutoff must be at most 2\*\*53"):
+            zeta_truncated((2,), cap)
+    with pytest.raises(TypeError, match="max_n must be an integer, got True"):
+        zeta((2,), 1e-6, max_n=True)
+    with pytest.raises(TypeError, match="cutoff must be an integer, got True"):
+        zeta_truncated((2,), True)
+
+
+def test_the_largest_cap_still_converges_at_the_first_cutoff():
+    est = zeta((2,), 1e-6, max_n=2**53)
+    assert est.converged and est.cutoff == 1024
+
+
 def test_a_numpy_integer_cap_or_cutoff_still_computes():
     assert zeta((2,), 1e-6, max_n=np.int64(4096)) == zeta((2,), 1e-6, max_n=4096)
     assert zeta_truncated((2,), np.int64(100)) == zeta_truncated((2,), 100)
@@ -451,3 +481,49 @@ def test_a_first_cutoff_with_one_fit_order_keeps_doubling():
     # at 2**10 a depth-8 grid leaves a single fit order, so no error estimate
     assert zeta((2,) + (1,) * 7, 1e3).cutoff == 2048
     assert zeta((2,) + (1,) * 6, 1e3).cutoff == 1024
+
+
+def fit_columns(cutoff, k):
+    """The float64 model columns behind ``_fit_rows(cutoff, k)``, one list per
+    window, built the same way here: the constant, then ``t**i * u**j`` for
+    ``i = 1..orders`` and ``j < k``."""
+    grid = ZETA_MODULE._grid(cutoff).astype(np.float64)
+    orders = min(ZETA_MODULE._MAX_ORDER, (len(grid) // 2 - 1) // k)
+    windows = []
+    for start in (0, len(grid) // 4):
+        n = grid[start:]
+        t = n[0] / n
+        u = np.log(n / n[0]) / np.log(n[-1] / n[0])
+        windows.append([np.ones_like(n)] + [t**i * u**j for i in range(1, orders + 1) for j in range(k)])
+    return windows
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_fit_rows_equal_the_gram_schmidt_oracle_bitwise_at_the_first_cutoff(k):
+    for (_, rows, _), columns in zip(_fit_rows(1024, k), fit_columns(1024, k)):
+        expected = np.array(reference_rows(columns)[k::k]).reshape(rows.shape)
+        assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("cutoff, k", [(1 << 14, 4), (1 << 18, 6), (1 << 24, 8)])
+def test_fit_rows_match_a_120_digit_oracle(cutoff, k):
+    for (_, rows, norms), columns in zip(_fit_rows(cutoff, k), fit_columns(cutoff, k)):
+        expected = np.array(reference_rows(columns, prec=120)[k::k])
+        assert len(rows) and (np.abs(rows - expected).max(axis=1) <= 1e-17 * norms).all()
+
+
+@pytest.mark.parametrize("cutoff", [1 << 10, 1 << 12, 1 << 18])
+def test_fit_rows_keep_the_constant_and_annihilate_the_model(cutoff):
+    # checked in exact arithmetic, with no oracle: the exact order-p row sums
+    # to 1 and is orthogonal to every other column of the order-p model, so
+    # the float64 row must do both up to its rounding
+    slack = Fraction(1, 2**50)
+    for k in range(1, 7):
+        for (_, rows, _), columns in zip(_fit_rows(cutoff, k), fit_columns(cutoff, k)):
+            exact = [[Fraction(v) for v in col.tolist()] for col in columns]
+            for p, row in enumerate(rows.tolist(), 1):
+                r = [Fraction(v) for v in row]
+                bound = slack * sum(map(abs, r))
+                assert abs(sum(r) - 1) <= bound, (k, p)
+                for i, col in enumerate(exact[1 : 1 + p * k], 1):
+                    assert abs(sum(map(mul, r, col))) <= bound * max(map(abs, col)), (k, p, i)
