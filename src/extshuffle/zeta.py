@@ -27,10 +27,19 @@ span at most ``_PIECE`` values.  Each stretch takes the batch in chunks,
 sorted by reversed entries so that shared suffixes fall together, whose
 blocks hold at most ``_BLOCK_BYTES`` of float64 (a composition's own
 suffixes are never split, so one deep enough composition may exceed it).
-Memory therefore stays bounded whatever the batch size.  Every row is
-computed by the same operations whatever else is in its batch, and each fit
-below uses only elementwise products and a sum along one row, so a
-composition's result is bitwise the same alone or in any batch.
+Memory therefore stays bounded whatever the batch size.  Each thread sweeps
+in a workspace of its own: one float64 buffer of ``(1 + powers + block
+rows) * stretch width`` that holds the values of ``n``, the power table and
+the block.  It grows to the largest stretch its thread has swept, is never
+shrunk and lives as long as the thread.  A row's terms are formed in place
+in the block, so once the workspace has grown a sweep allocates nothing the
+size of a stretch.  The floating-point operations and their order are those
+of a sweep that gathers each level's table rows and parents into
+temporaries; the tests keep that sweep as a reference and check the two bit
+for bit.  Every row is computed by the same operations whatever else is in
+its batch, and each fit below uses only elementwise products and a sum along
+one row, so a composition's result is bitwise the same alone or in any
+batch.
 
 ``zeta`` extrapolates instead of summing to a distant cutoff.  A convergent
 series with integer entries has the truncation expansion
@@ -75,6 +84,7 @@ that overflow float64 raise ``ValueError`` once their cutoff is swept.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -95,6 +105,7 @@ _GRID_PER_OCTAVE = 8
 _MAX_ORDER = 8
 _EPS = 2.0**-52  # float64 machine epsilon; the grid sums are read as float64
 _MAX_CUTOFF = 1 << 53  # the sweep holds n as float64, which is exact up to here
+_LOCAL = threading.local()  # each thread's sweep workspace, see _workspace
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,30 @@ def _chunks(comps, budget):
     yield start, len(comps)
 
 
-def _sweep_trie(comps, table, power_row, carries, sums):
+def _workspace(first, count, width, powers, block):
+    """This thread's workspace for the stretch of ``count`` values of ``n``
+    from ``first``, padded to ``width``: views ``(ms, table, sums)`` of one
+    float64 buffer.  ``ms`` holds the values of ``n`` (``first`` plus a
+    cached step vector), ``table`` has ``powers`` rows and ``sums`` ``block``
+    rows of ``width``.  The buffer grows to the largest size its thread has
+    asked for and is never shrunk; numpy releases the GIL inside ufuncs, so
+    threads must not share it.
+    """
+    import numpy as np
+
+    size = (1 + powers + block) * width
+    if len(getattr(_LOCAL, "buf", ())) < size:
+        _LOCAL.buf = ()  # the old buffer is freed before the new one exists
+        _LOCAL.buf = np.empty(size)
+    if len(getattr(_LOCAL, "steps", ())) < count:
+        _LOCAL.steps = np.arange(count, dtype=np.float64)
+    buf = _LOCAL.buf
+    ms = np.add(_LOCAL.steps[:count], first, out=buf[:count])
+    table = buf[width : (1 + powers) * width].reshape(powers, width)
+    return ms, table, buf[(1 + powers) * width : size].reshape(block, width)
+
+
+def _sweep_trie(comps, table, power_row, carries, sums, shifted):
     """Sweep the suffix trie of ``comps`` over a stretch of ``n``.
 
     Row ``power_row[p]`` of ``table`` holds ``n**p`` over the stretch, and
@@ -130,12 +164,18 @@ def _sweep_trie(comps, table, power_row, carries, sums):
     (absent means zero, as at ``n = 1``).  Each suffix gets a row of ``sums``,
     ordered by level so that a parent's row is done before its children's,
     and the row receives the suffix's float64 partial sums over the stretch.
+    ``shifted`` holds lists of row views: of ``table`` and of ``sums`` from
+    their second column on, and of ``sums`` up to its last but one.
     Returns ``(nodes, ends)``: ``nodes`` maps each suffix to its row, and
     ``ends`` holds each row's last sum in extended precision.  The stretch is
     a whole number of runs of ``_RUN`` values.  Terms and each run's running
     sums are float64; only the prefix sums of the run totals and the carries
     are ``np.longdouble``, and each run gets its preceding total back as
     float64.  Every operation acts along one row.
+
+    Nothing the size of a row is allocated: a first-level row is summed
+    straight from its table row, and a row above it is formed in place from
+    the shifted views, its first term coming from one product per chunk.
     """
     import numpy as np
 
@@ -146,22 +186,26 @@ def _sweep_trie(comps, table, power_row, carries, sums):
                 nodes.setdefault(comp[len(comp) - j:], len(nodes))
         bounds.append(len(nodes))
     suffixes = list(nodes)
-    which = np.array([power_row[-s[0]] for s in suffixes])  # a row's terms are n**-s[0]
-    parent = np.array([nodes.get(s[1:], 0) for s in suffixes])
+    which = [power_row[-s[0]] for s in suffixes]  # a row's terms are n**-s[0]
+    parent = [nodes.get(s[1:], 0) for s in suffixes]
     starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
     below = starts.astype(np.float64)  # the carries, B(n - 1) at the first n, in float64
+    firsts = table[which, 0] * below[parent]  # used above the first level only
     ends = np.empty_like(starts)
+    terms, after, before = shifted
     lo = 0
     for hi in bounds:
-        level = sums[lo:hi]  # the level's terms, then its sums, in place
-        np.take(table, which[lo:hi], axis=0, out=level, mode="clip")
-        if lo:  # above the first level (B_0 = 1): times B_{j-1}(n - 1)
-            up = parent[lo:hi]
-            level[:, 1:] *= sums[up, :-1]
-            level[:, 0] *= below[up]
+        level = sums[lo:hi]
         runs = level.reshape(hi - lo, -1, _RUN)
-        np.cumsum(runs, axis=2, out=runs)
-        totals = np.cumsum(runs[:, :, -1], axis=1, dtype=np.longdouble)
+        if lo:  # above the first level (B_0 = 1): terms times B_{j-1}(n - 1)
+            for w, p, row in zip(which[lo:hi], parent[lo:hi], after[lo:hi]):
+                np.multiply(terms[w], before[p], out=row)
+            level[:, 0] = firsts[lo:hi]
+            np.add.accumulate(runs, axis=2, out=runs)
+        else:
+            for w, row in zip(which[:hi], runs):
+                np.add.accumulate(table[w].reshape(-1, _RUN), axis=1, out=row)
+        totals = np.add.accumulate(runs[:, :, -1], axis=1, dtype=np.longdouble)
         if carries:  # all zero at n = 1
             totals += starts[lo:hi, None]
             runs[:, 0] += below[lo:hi, None]
@@ -178,7 +222,9 @@ def _advance(comps, pos, target, carries, grid, out):
     (empty at ``pos = 0``).  The partial sums of ``comps[i]`` at the points of
     ``grid`` in ``(pos, target]`` go to the same columns of ``out[i]``.
     Returns the carries at ``target``.  Stretches of ``n`` end at ``target``
-    and at every ``_PIECE``-th value after ``pos``, whatever the batch.
+    and at every ``_PIECE``-th value after ``pos``, whatever the batch.  Each
+    stretch works in this thread's workspace (see ``_workspace``), so a sweep
+    allocates nothing the size of a stretch once the workspace has grown.
     ``ValueError`` names any composition whose sums in ``out`` are not finite.
     """
     import numpy as np
@@ -188,22 +234,23 @@ def _advance(comps, pos, target, carries, grid, out):
     # n**p may overflow and inf * 0 give nan; such sums are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(pos + 1, target + 1, _PIECE):
-            last = min(first + _PIECE - 1, target)
-            ms = np.arange(first, last + 1, dtype=np.float64)
-            lo, hi = np.searchsorted(grid, [first, last + 1])
+            count = min(_PIECE, target + 1 - first)
+            lo, hi = np.searchsorted(grid, [first, first + count])
             cols = grid[lo:hi] - first
-            width = -(-len(ms) // _RUN) * _RUN  # zero terms pad a whole number of runs
-            table = np.zeros((len(powers), width))
-            for i, power in enumerate(powers):
-                np.power(ms, power, out=table[i, : len(ms)])
+            width = -(-count // _RUN) * _RUN  # zero terms pad a whole number of runs
             budget = max(1, _BLOCK_BYTES // (8 * width))
             # one block serves every chunk: a chunk has at most budget rows, or
-            # one composition's
-            sums = np.empty((max(budget, max(map(len, comps))), width))
+            # one composition's, and never more than the batch's entries
+            block = min(max(budget, max(map(len, comps))), sum(map(len, comps)))
+            ms, table, sums = _workspace(first, count, width, len(powers), block)
+            table[:, count:] = 0
+            for i, power in enumerate(powers):
+                np.power(ms, power, out=table[i, :count])
+            shifted = list(table[:, 1:]), list(sums[:, 1:]), list(sums[:, :-1])
             swept = {}
             for start, stop in _chunks(comps, budget):
                 chunk = comps[start:stop]
-                nodes, ends = _sweep_trie(chunk, table, power_row, carries, sums)
+                nodes, ends = _sweep_trie(chunk, table, power_row, carries, sums, shifted)
                 swept.update(zip(nodes, ends))
                 out[start:stop, lo:hi] = sums[:, cols][[nodes[comp] for comp in chunk]]
             carries = swept

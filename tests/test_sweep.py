@@ -1,0 +1,159 @@
+"""The series sweep against its gather-based reference, bit for bit, and its
+workspace: no stretch-sized allocation once warm, and no sharing between
+threads."""
+
+import sys
+import threading
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from extshuffle import ext_shuffle, zeta_truncated
+from extshuffle.convergence import is_convergent
+from extshuffle.zeta import _advance, _evaluate, _grid
+from reference_sweep import reference_advance
+
+ZETA_MODULE = sys.modules["extshuffle.zeta"]
+
+# run edges (256), stretch edges (2**16) and a last stretch that is no whole number of runs
+CUTOFFS = [1, 255, 256, 257, 65_536, 65_537, 70_001, 131_073]
+
+# zeta(2,1,1,1) needs 2**18 at 1e-10 and shares its suffixes with members
+# that leave the batch at cutoffs from 2**10 to 2**16
+MIXED = [(2, 1, 1, 1), (2,), (3,), (4, -1), (3, 1), (2, 1), (2, 1, 1), (3, 1, 1),
+         (5, 1, 1, 1), (4, 1, 1, 1), (3, 1, 1, 1)]
+
+# 36 product terms with 89 trie nodes: more than the 64 rows of a chunk at width 1,024
+PAIRS = [((2, 1), (3, 0, 2)), ((3, 0, 1), (2, 1)), ((2, 1), (3, 1))]
+PRODUCTS = sorted({comp for a, b in PAIRS for comp in ext_shuffle(a, b).support()})
+
+convergent = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(tuple).filter(is_convergent)
+
+
+def reference_truncated(comp, cutoff):
+    out = np.empty((1, 1))
+    reference_advance([comp], 0, cutoff, {}, np.array([cutoff]), out)
+    return float(out[0, 0])
+
+
+def bits(est):
+    return est.value.hex(), est.cutoff, est.est_error.hex(), est.converged
+
+
+def trie_nodes(comps):
+    return len({comp[j:] for comp in comps for j in range(len(comp))})
+
+
+@settings(max_examples=60)
+@given(convergent, st.sampled_from(CUTOFFS))
+def test_truncated_sum_is_bitwise_the_reference(comp, cutoff):
+    if cutoff >= len(comp):
+        assert zeta_truncated(comp, cutoff).hex() == reference_truncated(comp, cutoff).hex()
+
+
+def test_every_cutoff_is_bitwise_the_reference():
+    for comp in [(2,), (2, 2, 3, 0), (4, -1), (5, 0, -1), (3, 1, 1, 1)]:
+        for cutoff in CUTOFFS:
+            if cutoff >= len(comp):
+                assert zeta_truncated(comp, cutoff).hex() == reference_truncated(comp, cutoff).hex()
+
+
+@settings(max_examples=10)
+@given(st.lists(convergent, min_size=1, max_size=10))
+def test_chunked_sweep_with_carries_is_bitwise_the_reference(comps):
+    # more than 64 trie nodes split the batch into chunks at width 1,024;
+    # the targets carry the sums across cutoffs and stretches
+    comps = sorted(set(comps) | set(PRODUCTS), key=lambda c: c[::-1])
+    assert trie_nodes(comps) > 64
+    grid = _grid(1 << 17)
+    new, old = np.zeros((len(comps), len(grid))), np.zeros((len(comps), len(grid)))
+    carries = old_carries = {}
+    pos = 0
+    for target in (1 << 10, 1 << 11, 70_001, 1 << 17):
+        carries = _advance(comps, pos, target, carries, grid, new)
+        old_carries = reference_advance(comps, pos, target, old_carries, grid, old)
+        pos = target
+        assert new.tobytes() == old.tobytes()
+        assert list(carries) == list(old_carries)
+        assert np.array_equal(list(carries.values()), list(old_carries.values()))
+
+
+def evaluate_both(comps, tol, max_n):
+    new = _evaluate(comps, tol, max_n)
+    with mock.patch.object(ZETA_MODULE, "_advance", reference_advance):
+        old = _evaluate(comps, tol, max_n)
+    assert new.keys() == old.keys()
+    for comp in new:
+        assert bits(new[comp]) == bits(old[comp]), comp
+    return new
+
+
+def test_mixed_cutoff_batch_is_bitwise_the_reference():
+    found = evaluate_both(MIXED, 1e-10, 1 << 24)
+    assert {est.cutoff for est in found.values()} >= {1 << 10, 1 << 18}
+
+
+@settings(max_examples=10)
+@given(st.lists(convergent, min_size=1, max_size=12))
+def test_chunked_batch_is_bitwise_the_reference(comps):
+    batch = comps + PRODUCTS
+    assert trie_nodes(batch) > 64
+    evaluate_both(batch, 1e-8, 1 << 14)
+
+
+def test_a_warm_sweep_allocates_nothing_the_size_of_a_stretch():
+    zeta_truncated((2, 2, 3, 0), 1 << 18)  # grows this thread's workspace
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        zeta_truncated((2, 2, 3, 0), 1 << 18)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 256 * 1024, peak  # one stretch row alone is 512 KiB
+
+
+def test_threads_sweep_in_their_own_workspaces():
+    # numpy releases the GIL inside ufuncs, so a workspace shared between
+    # threads would mix their rows
+    work = [
+        ((2, 2, 3, 0), [(2, 1, 1), (3, 2), (4, -1)]),
+        ((3, 1, 1), [(5, 0, -1), (2, 3, 1), (3,)]),
+        ((4, -1), [(2, 1), (3, 0, 1), (2, 2, 2)]),
+        ((2, 1, 2), [(6, -2, 1), (2, 4), (3, 1, 1, 1)]),
+    ]
+    work = [(comp, sorted(batch, key=lambda c: c[::-1])) for comp, batch in work]
+
+    def run(comp, batch):
+        found = _evaluate(batch, 1e-13, 1 << 17)
+        return zeta_truncated(comp, 1 << 17).hex(), {c: bits(est) for c, est in found.items()}
+
+    serial = [run(*args) for args in work]
+    results = [[] for _ in work]
+    start = threading.Barrier(len(work))
+
+    def worker(slot):
+        start.wait(timeout=60)
+        for _ in range(3):
+            results[slot].append(run(*work[slot]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(work))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for slot, runs in enumerate(results):
+        assert runs == [serial[slot]] * 3, work[slot][0]
