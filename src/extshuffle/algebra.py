@@ -64,6 +64,17 @@ def _check_coefficient(coef):
     return coef
 
 
+def _merge(data, items):
+    """Add the ``(term, coef)`` pairs ``items`` into ``data``; drop terms that cancel."""
+    for term, coef in items:
+        c = data.get(term, 0) + coef
+        if c:
+            data[term] = c
+        else:
+            data.pop(term, None)
+    return data
+
+
 class _TermSum:
     """Sparse formal sum of basis terms with exact rational coefficients.
 
@@ -84,17 +95,8 @@ class _TermSum:
         raise NotImplementedError
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for term, coef in items:
-                _check_coefficient(coef)
-                c = data.get(term, 0) + coef
-                if c:
-                    data[term] = c
-                else:
-                    data.pop(term, None)
-        self._terms = data
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        self._terms = _merge({}, ((t, _check_coefficient(c)) for t, c in items))
 
     @classmethod
     def _from_clean(cls, data):
@@ -145,14 +147,7 @@ class _TermSum:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self._terms)
-        for term, coef in other._terms.items():
-            c = data.get(term, 0) + coef
-            if c:
-                data[term] = c
-            else:
-                del data[term]
-        return self._from_clean(data)
+        return self._from_clean(_merge(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -194,6 +189,11 @@ class _TermSum:
     def __repr__(self):
         return f"{type(self).__name__}<{self}>"
 
+    def to_json_dict(self) -> dict:
+        """Canonical JSON form, for subclasses whose ``_json_term`` gives a term's fields."""
+        terms = [{"coef": str(Fraction(c)), **self._json_term(t)} for t, c in self.terms()]
+        return {"terms": terms}
+
 
 class LinComb(_TermSum):
     """Element of the composition algebra: a finite rational sum of ``[s]``.
@@ -209,13 +209,9 @@ class LinComb(_TermSum):
     def _term_str(term):
         return format_composition(term)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coef": str(Fraction(coef)), "comp": list(term)}
-                for term, coef in self.terms()
-            ]
-        }
+    @staticmethod
+    def _json_term(term):
+        return {"comp": list(term)}
 
     @classmethod
     def from_json_dict(cls, data) -> "LinComb":

@@ -67,7 +67,7 @@ class _Cursor:
         if self.peek() in ("-", "+"):
             self.pos += 1
         digits = self.pos
-        while self.peek() is not None and self.text[self.pos].isdigit():
+        while self.peek() is not None and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -75,7 +75,7 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
     def unsigned(self) -> int:
-        if self.peek() is None or not self.text[self.pos].isdigit():
+        if self.peek() is None or not self.text[self.pos].isdecimal():
             raise self.error("expected digit")
         return self.integer()
 
@@ -139,7 +139,7 @@ def parse_lincomb(text: str) -> LinComb:
         if ch == "[":
             comp = cur.int_list()
             coef = Fraction(sign)
-        elif ch is not None and ch.isdigit():
+        elif ch is not None and ch.isdecimal():
             coef = sign * cur.rational()
             cur_pos = cur.pos
             cur.skip_ws()

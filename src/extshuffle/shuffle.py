@@ -48,13 +48,14 @@ One engine serves compositions and Chen symbols.  It works on pairs
 ``(exponents, labels)``, whose label row rides along: each zero peeled off
 a factor keeps that factor's first label.  A composition is a symbol with
 an empty label row, for which ``labels[:1]`` is empty too.  Basis products
-have integer coefficients.  They are memoized with ``functools.cache``, once
-as labelled pairs and once as label-stripped compositions, and the caches
-are safe to share between threads (a lost race only recomputes a value).
+have integer coefficients.  They are memoized with ``functools.cache`` as
+labelled pairs, and ``ext_shuffle``'s own results again with the label rows
+stripped; the caches are safe to share between threads (a lost race only
+recomputes a value).
 
 The word shuffle and the quasi-shuffle (stuffle) share ``_interleave``, which
-fills the table over suffix pairs iteratively and so does not recurse.  Its
-``functools.cache`` holds top-level pairs only.
+fills the table over suffix pairs iteratively and so does not recurse.  It
+keeps no memo: each call builds and returns a fresh map.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def ext_shuffle_lin(x: LinComb, y: LinComb) -> LinComb:
     for ta, ca in x.items():
         for tb, cb in y.items():
             c = ca * cb
-            for comp, k in _basis_product(ta, tb).items():
+            for (comp, _), k in _product((ta, ()), (tb, ())).items():
                 v = acc.get(comp, 0) + c * k
                 if v:
                     acc[comp] = v
@@ -214,13 +215,12 @@ def word_from_str(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
-@cache
 def _interleave(a, b, merge):
     """The interleavings of the tuples ``a`` and ``b`` that keep the order of
     each, by multiplicity; with ``merge`` a step may also take both heads as
     their sum.  The table over suffix pairs is filled from the ends inward,
     keeping one row, so nothing recurses; both products are commutative, so
-    the row runs along the shorter factor.  Never mutated once built."""
+    the row runs along the shorter factor."""
     if len(a) < len(b):
         a, b = b, a
     below = [{b[j:]: 1} for j in range(len(b) + 1)]
@@ -244,7 +244,7 @@ def word_shuffle(u: Word, v: Word) -> dict:
     """Classical shuffle ``a w1 x b w2 = a(w1 x b w2) + b(a w1 x w2)``, as a
     map word -> integer multiplicity.  Kept independent of the composition
     engine so it can serve as an oracle for it."""
-    return dict(_interleave(tuple(u), tuple(v), False))
+    return _interleave(tuple(u), tuple(v), False)
 
 
 def stuffle(a: Composition, b: Composition) -> LinComb:
@@ -255,4 +255,4 @@ def stuffle(a: Composition, b: Composition) -> LinComb:
     """
     a = composition(a)
     b = composition(b)
-    return LinComb._from_clean(dict(_interleave(a, b, True)))
+    return LinComb._from_clean(_interleave(a, b, True))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LinComb, _TermSum, composition, format_composition
+from .algebra import LinComb, _TermSum, _merge, composition, format_composition
 from .shuffle import _product
 
 
@@ -58,10 +58,6 @@ class ChenSymbol:
     def depth(self) -> int:
         return len(self.exponents)
 
-    @classmethod
-    def unit(cls) -> "ChenSymbol":
-        return cls((), ())
-
     def __str__(self):
         if not self.exponents:
             return "1"
@@ -84,19 +80,9 @@ class SymbolLinComb(_TermSum):
     def _term_str(sym):
         return str(sym)
 
-    def to_json_dict(self) -> dict:
-        from fractions import Fraction
-
-        return {
-            "terms": [
-                {
-                    "coef": str(Fraction(coef)),
-                    "comp": list(sym.exponents),
-                    "labels": list(sym.labels),
-                }
-                for sym, coef in self.terms()
-            ]
-        }
+    @staticmethod
+    def _json_term(sym):
+        return {"comp": list(sym.exponents), "labels": list(sym.labels)}
 
 
 def independent(a: ChenSymbol, b: ChenSymbol) -> bool:
@@ -149,11 +135,4 @@ def opS_J(x: SymbolLinComb) -> SymbolLinComb:
 
 def phi_project(x: SymbolLinComb) -> LinComb:
     """Forget the label rows, merging coefficients of equal top rows."""
-    acc: dict = {}
-    for sym, coef in x.items():
-        c = acc.get(sym.exponents, 0) + coef
-        if c:
-            acc[sym.exponents] = c
-        else:
-            del acc[sym.exponents]
-    return LinComb._from_clean(acc)
+    return LinComb._from_clean(_merge({}, ((sym.exponents, c) for sym, c in x.items())))

@@ -75,10 +75,11 @@ The estimate is ``converged`` once ``est_error < tol / 2``, and the
 composition leaves the batch.  For the others the cutoff doubles, clamped to
 ``max_n``, the sweep continues from their carries, and the grid extends to
 the new cutoff; ``cutoff`` is the last ``N`` summed, and ``max_n`` is only a
-fallback cap.  The error estimate is empirical, not a proven bound.  A tolerance below the rounding floor can
-never converge, and a series whose expansion is not resolved by ``max_n``
-reports ``converged=False`` at the cap rather than raising.  Partial sums
-that overflow float64 raise ``ValueError`` once their cutoff is swept.
+fallback cap.  The error estimate is empirical, not a proven bound.  A
+tolerance below the rounding floor can never converge, and a series whose
+expansion is not resolved by ``max_n`` reports ``converged=False`` at the cap
+rather than raising.  Partial sums that overflow float64 raise
+``ValueError`` once their cutoff is swept.
 """
 
 from __future__ import annotations
@@ -412,8 +413,8 @@ def _check_numeric(tol, max_n):
     _check_cap("max_n", max_n)
     if max_n <= _START_N:
         raise ValueError(
-            f"max_n must exceed {_START_N}, the first cutoff, so that two estimates "
-            f"can be compared; got {max_n}"
+            f"max_n must exceed {_START_N}, the first cutoff, so that the sweep can "
+            f"double past it; got {max_n}"
         )
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import compositions
-from extshuffle import LinComb, UNIT, depth, op_I, op_J, partial_weight, weight
+from extshuffle import LinComb, UNIT, depth, ext_shuffle, op_I, op_J, partial_weight, weight
 from extshuffle.algebra import format_composition
 
 
@@ -117,6 +118,23 @@ def test_rejects_float_coefficients():
         LinComb({(1,): 1.5})
     with pytest.raises(TypeError):
         LinComb.basis((1,)) * 0.5
+
+
+def test_rejects_non_rational_coefficients():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        LinComb.basis((1,), Decimal(1))
+
+
+def test_rejects_non_integer_entries():
+    with pytest.raises(TypeError, match="must be integers"):
+        ext_shuffle((1.5,), (2,))
+
+
+def test_coefficient():
+    x = Fraction(3, 2) * LinComb.basis((2, -1)) - LinComb.basis(UNIT)
+    assert x.coefficient((2, -1)) == Fraction(3, 2)
+    assert x.coefficient(UNIT) == -1
+    assert x.coefficient((2,)) == 0
 
 
 def test_json_round_trip():

@@ -45,6 +45,22 @@ def test_shuffle_parse_failure_exits_2(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convergent", "[\u00b2]"),
+        ("shuffle", "[1]", "[1,\u00b2]"),
+        ("fraction-eval", "f([1];[1])", "1=1/\u00b2"),
+    ],
+)
+def test_non_decimal_digit_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "position" in err
+    assert err.count("\n") == 1
+
+
 def test_output_reparses_to_equal_lincomb(capsys):
     for a, b in [("[2]", "[3]"), ("[-2,1]", "[0,4]"), ("[1]", "[-1]")]:
         code, out, _ = run(capsys, "shuffle", a, b)
@@ -202,6 +218,29 @@ def test_relations_text(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("[4] - 4[3,1]")
+
+
+def test_relations_text_reports_skipped_pairs(capsys, monkeypatch):
+    # force a skip the way the library test does: no pair in this region
+    # has a non-convergent quasi-shuffle term of its own
+    import extshuffle.relations as rel_mod
+
+    real = rel_mod.double_shuffle_relation
+
+    def fake(a, b):
+        out = real(a, b)
+        if (a, b) == ((2,), (2,)):
+            out = rel_mod.DoubleShuffleRelation(a, b, out.difference, ((1, 1),))
+        return out
+
+    monkeypatch.setattr(rel_mod, "double_shuffle_relation", fake)
+    code, out, _ = run(
+        capsys, "relations", "--max-depth", "1", "--min-entry", "2", "--max-entry", "3"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[-1] == "skipped [2] * [2]: non-convergent terms [1,1]"
 
 
 def test_relations_json(capsys):
@@ -366,6 +405,16 @@ def test_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == b""
+
+
+def test_closed_stdout_in_process_exits_1(capsys, monkeypatch):
+    # the same broken pipe met by main() in this process, where a line trace sees it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["shuffle", "[2]", "[2]"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_import_leaves_numpy_unloaded():

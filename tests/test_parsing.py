@@ -32,6 +32,27 @@ def test_parse_composition_errors_carry_position(bad):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_composition, "[\u00b2]"),
+        (parse_composition, "[1,-\u00b2]"),
+        (parse_lincomb, "\u00b2[1]"),
+        (parse_assignment, "1=1/\u00b2"),
+        (parse_assignment, "\u00b2=1"),
+    ],
+)
+def test_digits_int_rejects_are_parse_errors(parse, text):
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "position" in str(err.value)
+
+
+def test_other_decimal_digits_parse():
+    assert parse_composition("[\u0661\u0662]") == (12,)
+
+
 def test_parse_lincomb():
     assert parse_lincomb("[-1,1] - [0,0]") == LinComb([((-1, 1), 1), ((0, 0), -1)])
     assert parse_lincomb("2[2,2] + 4[3,1]") == LinComb([((2, 2), 2), ((3, 1), 4)])

@@ -193,6 +193,11 @@ def test_rho_encode_rejects_nonpositive():
         rho_encode((2, -1))
 
 
+def test_rho_decode_rejects_other_letters():
+    with pytest.raises(ValueError, match="letters must be 0 or 1"):
+        rho_decode((2, 1))
+
+
 def test_rho_decode_examples():
     assert rho_decode((0, 0, 1, 1)) == (3, 1)
     assert rho_decode((1,)) == (1,)
