@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,6 +25,11 @@ from .relations import enumerate_relations
 from .shuffle import ext_shuffle, stuffle
 from .symbols import symbol_product
 from .zeta import DEFAULT_MAX_N, verify_homomorphism, zeta
+
+
+def _finite(x):
+    """``x``, or ``None`` (JSON ``null``, not the non-standard ``Infinity``) if not finite."""
+    return x if math.isfinite(x) else None
 
 
 def _cmd_product(args) -> int:
@@ -83,7 +89,7 @@ def _cmd_zeta(args) -> int:
             json.dumps(
                 {
                     "value": est.value,
-                    "est_error": est.est_error,
+                    "est_error": _finite(est.est_error),
                     "cutoff": est.cutoff,
                     "converged": est.converged,
                 }
@@ -109,7 +115,7 @@ def _cmd_verify(args) -> int:
                     "lhs": report.lhs.value,
                     "rhs": report.rhs_value,
                     "delta": report.delta,
-                    "tolerance": report.tolerance,
+                    "tolerance": _finite(report.tolerance),
                     "expansion": report.expansion.to_json_dict(),
                 }
             )
@@ -146,7 +152,7 @@ def _cmd_relations(args) -> int:
                             "b": list(rel.b),
                             "relation": rel.difference.to_json_dict(),
                             "residual": rel.residual,
-                            "est_error": rel.est_error,
+                            "est_error": _finite(rel.est_error),
                             "passed": rel.passed,
                         }
                         for rel in scan.relations

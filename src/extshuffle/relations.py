@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import Composition, LinComb, composition
 from .convergence import is_convergent, require_convergent
 from .shuffle import ext_shuffle, stuffle
-from .zeta import DEFAULT_MAX_N, _check_numeric, _estimates, zeta_of_lincomb
+from .zeta import DEFAULT_MAX_N, _check_numeric, _combine
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRela
 @dataclass(frozen=True)
 class CertifiedRelation:
     """A relation with the series of its difference: it ``passed`` when the
-    residual is within the tolerance plus the estimated error."""
+    estimate converged and the residual is within the tolerance plus the
+    estimated error."""
 
     a: Composition
     b: Composition
@@ -109,10 +110,9 @@ def enumerate_relations(
     Pairs are unordered (the quasi-shuffle side is symmetric) and scanned in
     canonical order, so the output is deterministic.  Each emitted relation
     carries the numeric residual of its series, the accumulated empirical
-    error and whether the residual is within ``tol`` plus that error; pairs
-    with a non-convergent product term are recorded as skipped.  Every
-    relation is built first, and the union of their terms is evaluated in one
-    batch.
+    error and whether it passed (see ``CertifiedRelation``); pairs with a
+    non-convergent product term are recorded as skipped.  Every relation is
+    built first, and the union of their terms is evaluated in one batch.
     """
     _check_numeric(tol, max_n)
     lo, hi = entry_range
@@ -126,14 +126,9 @@ def enumerate_relations(
                 skipped.append(SkippedPair(a, b, rel.nonconvergent_terms))
             else:
                 found.append(rel)
-    _estimates({comp for rel in found for comp, _ in rel.difference.items()}, tol, max_n)
     relations = []
-    for rel in found:
-        est = zeta_of_lincomb(rel.difference, tol, max_n=max_n)
+    for rel, est in zip(found, _combine([rel.difference for rel in found], tol, max_n)):
         residual = abs(est.value)
-        relations.append(
-            CertifiedRelation(
-                rel.a, rel.b, rel.difference, residual, est.est_error, residual <= tol + est.est_error
-            )
-        )
+        passed = est.converged and residual <= tol + est.est_error
+        relations.append(CertifiedRelation(rel.a, rel.b, rel.difference, residual, est.est_error, passed))
     return RelationScan(tuple(relations), tuple(skipped))

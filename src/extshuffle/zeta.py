@@ -422,25 +422,21 @@ def _evaluate(comps, tol, max_n):
     """``zeta`` of each of ``comps`` in one batched sweep, as a dict by composition.
 
     Every composition is checked to be convergent before anything is summed.
+    The cutoff doubles in place from ``_START_N``, clamped to ``max_n``, and
+    each sweep fills the sums on ``_grid(cutoff)``, the grid of its fits; all
+    cutoffs but the last are powers of two, so each grid extends the last.
     """
     import numpy as np
 
     require_convergent(*comps)
     found = {(): ZetaEstimate(1.0, 0, 0.0, True)} if () in comps else {}
     pending = sorted({comp for comp in comps if comp}, key=lambda c: c[::-1])
-    if not pending:
-        return found
-    cutoffs = [_START_N]
-    while cutoffs[-1] < max_n:
-        cutoffs.append(min(2 * cutoffs[-1], max_n))
-    grid = _grid(max_n)
     at_grid = np.empty((len(pending), 0))  # pending[i]'s sums on the grid so far
-    carries, pos = {}, 0
-    for cutoff in cutoffs:
-        width = np.searchsorted(grid, cutoff, side="right")
-        at_grid = np.hstack([at_grid, np.empty((len(pending), width - at_grid.shape[1]))])
+    carries, pos, cutoff = {}, 0, _START_N
+    while pending:
+        grid = _grid(cutoff)
+        at_grid = np.hstack([at_grid, np.empty((len(pending), len(grid) - at_grid.shape[1]))])
         carries = _advance(pending, pos, cutoff, carries, grid, at_grid)
-        pos = cutoff
         by_depth = {}
         for i, comp in enumerate(pending):
             by_depth.setdefault(len(comp), []).append(i)
@@ -450,10 +446,9 @@ def _evaluate(comps, tol, max_n):
                 if error < tol / 2 or cutoff == max_n:
                     found[pending[i]] = ZetaEstimate(value, cutoff, error, error < tol / 2)
         rest = [i for i, comp in enumerate(pending) if comp not in found]
-        if not rest:
-            break
         pending = [pending[i] for i in rest]
         at_grid = at_grid[rest]
+        pos, cutoff = cutoff, min(2 * cutoff, max_n)
     return found
 
 
@@ -468,57 +463,50 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     and be at most ``2**53``, where float64 ``n`` stops being exact; otherwise
     ``ValueError`` (``TypeError`` for a ``max_n`` that is not an integer, or is
     a bool).  Only then does a divergent ``comp`` raise ``DivergentError``.
-    Estimates share one memo with ``zeta_of_lincomb``.
+    This is ``_combine`` of the basis element ``comp``.
     """
-    comp = composition(comp)
-    return _estimates([comp], tol, max_n)[comp]
+    return _combine([LinComb.basis(composition(comp))], tol, max_n)[0]
 
 
 _MEMO: dict = {}
-"""Estimates by ``(comp, tol, max_n)``.  Batches only add entries, and an
-entry does not depend on the batch that computed it, so threads share the
-memo safely: a lost race only computes an entry twice."""
+"""Estimates by ``(comp, tol, max_n)``, read and written only by ``_combine``.
+Batches only add entries, and an entry does not depend on the batch that
+computed it, so threads share the memo safely: a lost race only computes an
+entry twice."""
 
 
-def _estimates(comps, tol, max_n):
-    """The estimates of ``comps``, as a dict by composition, computing those
-    not in the memo in one batch; the only caller of ``_evaluate``.  ``tol``
-    and ``max_n`` are checked first."""
+def _combine(xs, tol, max_n):
+    """``zeta_of_lincomb`` of each combination in the list ``xs``, once
+    ``tol`` and ``max_n`` are checked.  The terms not in the memo are
+    evaluated in one batch; this is the only caller of ``_evaluate``."""
     _check_numeric(tol, max_n)
-    found = {}
-    for comp in comps:
-        est = _MEMO.get((comp, tol, max_n))
-        if est is not None:
-            found[comp] = est
-    missing = [comp for comp in comps if comp not in found]
+    terms = [x.terms() for x in xs]
+    missing = [comp for pairs in terms for comp, _ in pairs if (comp, tol, max_n) not in _MEMO]
     if missing:
         for comp, est in _evaluate(missing, tol, max_n).items():
             _MEMO[comp, tol, max_n] = est
-            found[comp] = est
-    return found
+    estimates = []
+    for pairs in terms:
+        total, err, cutoff, converged = 0.0, 0.0, 0, True
+        for comp, coef in pairs:
+            est = _MEMO[comp, tol, max_n]
+            c = float(coef)
+            total += c * est.value
+            err += abs(c) * est.est_error
+            cutoff = max(cutoff, est.cutoff)
+            converged = converged and est.converged
+        estimates.append(ZetaEstimate(total, cutoff, err, converged))
+    return estimates
 
 
 def zeta_of_lincomb(x: LinComb, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
-    """Coefficient-weighted sum of per-term estimates.
+    """Coefficient-weighted sum of per-term estimates: ``_combine`` of ``x``.
 
     The reported error is the absolute-coefficient-weighted sum of per-term
     errors; every term must be convergent.  Terms not yet estimated at this
     ``tol`` and ``max_n`` are evaluated in one batch.
     """
-    terms = x.terms()
-    estimates = _estimates([comp for comp, _ in terms], tol, max_n)
-    total = 0.0
-    err = 0.0
-    cutoff = 0
-    converged = True
-    for comp, coef in terms:
-        est = estimates[comp]
-        c = float(coef)
-        total += c * est.value
-        err += abs(c) * est.est_error
-        cutoff = max(cutoff, est.cutoff)
-        converged = converged and est.converged
-    return ZetaEstimate(total, cutoff, err, converged)
+    return _combine([x], tol, max_n)[0]
 
 
 @dataclass(frozen=True)
@@ -542,16 +530,15 @@ def verify_homomorphism(
     """Compare the series of the product expansion against the product of series.
 
     Passes when the two sides agree within ``tol`` plus the accumulated
-    empirical error estimates of both sides.
+    empirical error estimates of both sides, and the estimates of the
+    expansion and of both factors converged.
     """
     a = composition(a)
     b = composition(b)
     _check_numeric(tol, max_n)
     require_convergent(a, b)
     expansion = ext_shuffle(a, b)
-    factors = _estimates(expansion.support() + [a, b], tol, max_n)
-    lhs = zeta_of_lincomb(expansion, tol, max_n=max_n)
-    za, zb = factors[a], factors[b]
+    lhs, za, zb = _combine([expansion, LinComb.basis(a), LinComb.basis(b)], tol, max_n)
     rhs_value = za.value * zb.value
     rhs_error = (
         abs(za.value) * zb.est_error
@@ -569,5 +556,5 @@ def verify_homomorphism(
         rhs_error=rhs_error,
         delta=delta,
         tolerance=tolerance,
-        passed=delta < tolerance,
+        passed=delta < tolerance and lhs.converged and za.converged and zb.converged,
     )

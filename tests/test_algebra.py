@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import compositions
-from extshuffle import LinComb, UNIT, depth, ext_shuffle, op_I, op_J, partial_weight, weight
+from extshuffle import ChenSymbol, LinComb, SymbolLinComb, UNIT, depth, ext_shuffle, op_I, op_J, partial_weight, weight
 from extshuffle.algebra import format_composition
 
 
@@ -147,3 +147,16 @@ def test_json_round_trip():
         ]
     }
     assert LinComb.from_json_dict(data) == x
+
+
+def test_combinations_of_different_term_types_do_not_mix():
+    x, y = LinComb.basis((1,)), SymbolLinComb.basis(ChenSymbol((1,), (1,)))
+    with pytest.raises(TypeError):
+        x + y
+    with pytest.raises(TypeError):
+        x - y
+    assert not x == y and x != y
+
+
+def test_repr():
+    assert repr(LinComb.basis((2,)) - 2 * LinComb.basis((3, 1))) == "LinComb<[2] - 2[3,1]>"

@@ -169,3 +169,8 @@ def test_formal_terms_are_not_independent_but_panel_sees_through():
     assert zero_exp != one  # formal inequality
     assert equal_on_panel(zero_exp, one)  # semantic equality
     assert not equal_on_panel(zero_exp, 2 * one)
+
+
+def test_fraction_combination_text():
+    product = fraction_product(ChenFraction((1,), (1,)), ChenFraction((1,), (2,)))
+    assert str(product) == "f([1,1];[1,2]) + f([1,1];[2,1])"

@@ -207,6 +207,38 @@ def test_verify_json(capsys):
     assert data["delta"] < data["tolerance"]
 
 
+UNRESOLVED = ("[2,1,1,1,1]", "[2,1,1,1]", "--max-n", "1025")  # a depth-9 term has one fit order
+
+
+def test_verify_with_an_unconverged_estimate_fails(capsys):
+    code, out, _ = run(capsys, "verify", *UNRESOLVED)
+    assert code == 1
+    assert "(tolerance inf)" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("zeta", "[2,1,1,1,1,1,1,1,1]", "--max-n", "1025", "--json"), "est_error"),
+        (("verify", *UNRESOLVED, "--json"), "tolerance"),
+        (("relations", "--max-depth", "5", "--min-entry", "2", "--max-entry", "2",
+          "--max-n", "1025", "--format", "json"), "est_error"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_an_unresolved_error_bar_is_json_null(capsys, argv, field):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(out, parse_constant=_strict)
+    records = data["relations"] if "relations" in data else [data]
+    assert None in [record[field] for record in records]
+
+
 def test_relations_text(capsys):
     code, out, _ = run(
         capsys,
@@ -263,10 +295,10 @@ def test_relations_json(capsys):
 def test_relations_failing_relation_exits_1(capsys, monkeypatch):
     from extshuffle import ZetaEstimate
 
-    def off_by_one(x, tol, *, max_n):
-        return ZetaEstimate(1.0, 1024, 1e-9, True)
+    def off_by_one(xs, tol, max_n):
+        return [ZetaEstimate(1.0, 1024, 1e-9, True)] * len(xs)
 
-    monkeypatch.setattr("extshuffle.relations.zeta_of_lincomb", off_by_one)
+    monkeypatch.setattr("extshuffle.relations._combine", off_by_one)
     argv = ["relations", "--max-depth", "1", "--min-entry", "2", "--max-entry", "3"]
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
@@ -422,3 +454,14 @@ def test_import_leaves_numpy_unloaded():
         "-c", "import sys, extshuffle; print('numpy' in sys.modules)", capture_output=True
     )
     assert done.stdout.decode().strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("shuffle", "[1]", "[-1]"), 0), (("zeta", "[1]"), 1), (("zeta", "[2]", "--tol", "inf"), 2)],
+    ids=["success", "divergent", "usage"],
+)
+def test_module_entry_point_returns_the_exit_code(argv, code):
+    done = _python("-m", "extshuffle", *argv, capture_output=True)
+    assert done.returncode == code
+    assert done.stderr.decode().startswith("error:") == (code != 0)

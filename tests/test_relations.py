@@ -132,14 +132,27 @@ def test_relation_fails_when_its_residual_exceeds_tolerance(monkeypatch):
     import extshuffle.relations as rel_mod
     from extshuffle import ZetaEstimate
 
-    def off_by_one(x, tol, *, max_n):
-        return ZetaEstimate(1.0, 1024, 1e-9, True)
+    def off_by_one(xs, tol, max_n):
+        return [ZetaEstimate(1.0, 1024, 1e-9, True)] * len(xs)
 
-    monkeypatch.setattr(rel_mod, "zeta_of_lincomb", off_by_one)
+    monkeypatch.setattr(rel_mod, "_combine", off_by_one)
     scan = rel_mod.enumerate_relations(1, (2, 3), 1e-4)
     assert len(scan.relations) == 3
     assert not any(rel.passed for rel in scan.relations)
     assert all(rel.residual == 1.0 for rel in scan.relations)
+
+
+def test_relation_with_an_unconverged_estimate_is_not_passed(monkeypatch):
+    import extshuffle.relations as rel_mod
+    from extshuffle import ZetaEstimate
+
+    def unconverged(xs, tol, max_n):
+        return [ZetaEstimate(0.0, 1 << 24, 1e-9, False)] * len(xs)
+
+    monkeypatch.setattr(rel_mod, "_combine", unconverged)
+    scan = rel_mod.enumerate_relations(1, (2, 3), 1e-4)
+    assert [rel.residual for rel in scan.relations] == [0.0] * 3
+    assert not any(rel.passed for rel in scan.relations)
 
 
 def test_batched_scan_matches_per_composition_sums():

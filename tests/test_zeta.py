@@ -199,6 +199,15 @@ def test_zeta_of_lincomb():
     assert abs(est.value - 1.6449340668**2) < 2e-6
 
 
+def test_verify_needs_converged_estimates_to_pass():
+    # at a cap of 1025 the depth-9 terms have one fit order, so an unbounded
+    # error bar would otherwise make an infinite tolerance
+    report = verify_homomorphism((2, 1, 1, 1, 1), (2, 1, 1, 1), 1e-5, max_n=1025)
+    assert report.tolerance == float("inf") and report.delta < report.tolerance
+    assert not report.lhs.converged
+    assert report.passed is False
+
+
 def test_zeta_of_lincomb_rejects_divergent_terms():
     with pytest.raises(ValueError):
         zeta_of_lincomb(LinComb.basis((2,)) + LinComb.basis((1,)), 1e-6)
