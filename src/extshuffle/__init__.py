@@ -49,7 +49,6 @@ from .relations import (
     CertifiedRelation,
     DoubleShuffleRelation,
     RelationScan,
-    SkippedPair,
     convergent_compositions,
     double_shuffle_relation,
     enumerate_relations,

@@ -157,14 +157,7 @@ def _cmd_relations(args) -> int:
                         }
                         for rel in scan.relations
                     ],
-                    "skipped": [
-                        {
-                            "a": list(sk.a),
-                            "b": list(sk.b),
-                            "nonconvergent": [list(t) for t in sk.nonconvergent_terms],
-                        }
-                        for sk in scan.skipped
-                    ],
+                    "skipped": [],
                 }
             )
         )
@@ -175,9 +168,6 @@ def _cmd_relations(args) -> int:
                 f"(from {_fmt(rel.a)} * {_fmt(rel.b)}, residual {rel.residual:.2e}"
                 f"{'' if rel.passed else ', FAIL'})"
             )
-        for sk in scan.skipped:
-            terms = ", ".join(_fmt(t) for t in sk.nonconvergent_terms)
-            print(f"skipped {_fmt(sk.a)} * {_fmt(sk.b)}: non-convergent terms {terms}")
     return 0 if all(rel.passed for rel in scan.relations) else 1
 
 

@@ -86,4 +86,4 @@ def check_closure(a: Composition, b: Composition) -> bool:
     a = composition(a)
     b = composition(b)
     require_convergent(a, b)
-    return all(is_convergent(term) for term in ext_shuffle(a, b).support())
+    return all(is_convergent(term) for term, _ in ext_shuffle(a, b).items())

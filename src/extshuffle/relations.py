@@ -9,8 +9,9 @@ Shuffle products of convergent compositions stay convergent, and so do
 quasi-shuffle products: the first ``k`` entries of a quasi-shuffle term merge
 the first ``i`` entries of ``a`` and the first ``j`` of ``b``, ``k <= i + j``,
 so ``w_k = w_i(a) + w_j(b)``, which is ``>= i + j + 2 > k`` when ``i, j >= 1``
-and ``w_i(a) > i = k`` when ``j = 0``.  No pair is ever skipped; the skip
-record stays because ``RelationScan.skipped`` is public.
+and ``w_i(a) > i = k`` when ``j = 0``.  Every term of a relation is
+therefore convergent, so a scan never skips a pair and checks no term at run
+time; ``RelationScan.skipped`` is kept for its readers and is always empty.
 """
 
 from __future__ import annotations
@@ -31,32 +32,19 @@ class DoubleShuffleRelation:
     a: Composition
     b: Composition
     difference: LinComb
-    nonconvergent_terms: tuple
-
-    @property
-    def all_convergent(self) -> bool:
-        return not self.nonconvergent_terms
 
 
 def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRelation:
     """The relation ``stuffle(a,b) - ext_shuffle(a,b)`` for convergent a, b.
 
-    Basis terms of the difference that are not convergent (none, by the
-    module note) are flagged in the result rather than raised.
+    Every basis term of the difference is convergent, by the module note.
     """
     a = composition(a)
     b = composition(b)
     if not a or not b:
         raise ValueError("the unit yields only the trivial relation")
     require_convergent(a, b)
-    star = stuffle(a, b)
-    sha = ext_shuffle(a, b)
-    bad = tuple(
-        term
-        for term in sorted(set(star.support()) | set(sha.support()), key=LinComb._key)
-        if not is_convergent(term)
-    )
-    return DoubleShuffleRelation(a, b, star - sha, bad)
+    return DoubleShuffleRelation(a, b, stuffle(a, b) - ext_shuffle(a, b))
 
 
 @dataclass(frozen=True)
@@ -74,16 +62,12 @@ class CertifiedRelation:
 
 
 @dataclass(frozen=True)
-class SkippedPair:
-    a: Composition
-    b: Composition
-    nonconvergent_terms: tuple
-
-
-@dataclass(frozen=True)
 class RelationScan:
+    """The certified relations of a scan.  ``skipped`` is always ``()``:
+    closure leaves no pair to skip (module note)."""
+
     relations: tuple
-    skipped: tuple
+    skipped: tuple = ()
 
 
 def convergent_compositions(max_depth: int, min_entry: int, max_entry: int):
@@ -110,25 +94,17 @@ def enumerate_relations(
     Pairs are unordered (the quasi-shuffle side is symmetric) and scanned in
     canonical order, so the output is deterministic.  Each emitted relation
     carries the numeric residual of its series, the accumulated empirical
-    error and whether it passed (see ``CertifiedRelation``); pairs with a
-    non-convergent product term are recorded as skipped.  Every relation is
-    built first, and the union of their terms is evaluated in one batch.
+    error and whether it passed (see ``CertifiedRelation``).  No pair is
+    skipped (module note).  Every relation is built first, and the union of
+    their terms is evaluated in one batch.
     """
     _check_numeric(tol, max_n)
     lo, hi = entry_range
     basis = convergent_compositions(max_depth, lo, hi)
-    found = []
-    skipped = []
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            rel = double_shuffle_relation(a, b)
-            if rel.nonconvergent_terms:
-                skipped.append(SkippedPair(a, b, rel.nonconvergent_terms))
-            else:
-                found.append(rel)
+    found = [double_shuffle_relation(a, b) for i, a in enumerate(basis) for b in basis[i:]]
     relations = []
     for rel, est in zip(found, _combine([rel.difference for rel in found], tol, max_n)):
         residual = abs(est.value)
         passed = est.converged and residual <= tol + est.est_error
         relations.append(CertifiedRelation(rel.a, rel.b, rel.difference, residual, est.est_error, passed))
-    return RelationScan(tuple(relations), tuple(skipped))
+    return RelationScan(tuple(relations))

@@ -166,7 +166,7 @@ def is_leading_positive(x: LinComb) -> bool:
     Leading-positive combinations are closed under the product; the zero
     combination is vacuously leading positive.
     """
-    return all(comp and comp[0] > 0 for comp in x.support())
+    return all(comp and comp[0] > 0 for comp, _ in x.items())
 
 
 # ---------------------------------------------------------------------------

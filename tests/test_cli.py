@@ -252,29 +252,6 @@ def test_relations_text(capsys):
     assert lines[0].startswith("[4] - 4[3,1]")
 
 
-def test_relations_text_reports_skipped_pairs(capsys, monkeypatch):
-    # force a skip the way the library test does: no pair in this region
-    # has a non-convergent quasi-shuffle term of its own
-    import extshuffle.relations as rel_mod
-
-    real = rel_mod.double_shuffle_relation
-
-    def fake(a, b):
-        out = real(a, b)
-        if (a, b) == ((2,), (2,)):
-            out = rel_mod.DoubleShuffleRelation(a, b, out.difference, ((1, 1),))
-        return out
-
-    monkeypatch.setattr(rel_mod, "double_shuffle_relation", fake)
-    code, out, _ = run(
-        capsys, "relations", "--max-depth", "1", "--min-entry", "2", "--max-entry", "3"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[-1] == "skipped [2] * [2]: non-convergent terms [1,1]"
-
-
 def test_relations_json(capsys):
     code, out, _ = run(
         capsys,

@@ -14,6 +14,7 @@ from extshuffle import (
     tilde_w,
 )
 from extshuffle.convergence import DivergentError, require_convergent
+from extshuffle.relations import convergent_compositions
 
 
 def test_require_convergent_names_the_composition_as_typed():
@@ -125,3 +126,19 @@ def test_stuffle_closure_empirically(a, b):
     # the quasi-shuffle keeps the convergent region closed; the proof is in
     # the module docstring of extshuffle.relations
     assert [t for t in stuffle(a, b).support() if not is_convergent(t)] == []
+
+
+def test_closure_over_the_certify_region_exhaustively():
+    # every ordered pair of the benchmark's certify region (depth <= 3,
+    # entries -1..3): no term of either product leaves the convergent region,
+    # so the relation scan needs no run-time check of its terms
+    basis = convergent_compositions(3, -1, 3)
+    assert len(basis) == 38
+    checked = 0
+    for a in basis:
+        for b in basis:
+            for product in (ext_shuffle(a, b), stuffle(a, b)):
+                bad = [term for term, _ in product.items() if not is_convergent(term)]
+                assert bad == [], (a, b, bad)
+                checked += len(product)
+    assert checked == 141_786

@@ -21,8 +21,6 @@ def lc(*terms):
 def test_relation_two_two():
     rel = double_shuffle_relation((2,), (2,))
     assert rel.difference == lc(((4,), 1), ((3, 1), -4))
-    assert rel.nonconvergent_terms == ()
-    assert rel.all_convergent
 
 
 def test_relation_two_three():
@@ -108,26 +106,6 @@ def test_shuffle_symmetry_on_convergent_region_is_measured_not_assumed():
     assert 0 <= symmetric_share <= 1
 
 
-def test_enumerate_relations_records_skipped_pairs(monkeypatch):
-    # the skip path triggers whenever a quasi-shuffle term leaves the
-    # convergent region; force one to pin the record-keeping contract
-    import extshuffle.relations as rel_mod
-
-    real = rel_mod.double_shuffle_relation
-
-    def fake(a, b):
-        out = real(a, b)
-        if (a, b) == ((2,), (2,)):
-            out = rel_mod.DoubleShuffleRelation(a, b, out.difference, ((1, 1),))
-        return out
-
-    monkeypatch.setattr(rel_mod, "double_shuffle_relation", fake)
-    scan = rel_mod.enumerate_relations(1, (2, 3), 1e-4)
-    assert len(scan.skipped) == 1
-    assert scan.skipped[0].a == (2,) and scan.skipped[0].nonconvergent_terms == ((1, 1),)
-    assert len(scan.relations) == 2
-
-
 def test_relation_fails_when_its_residual_exceeds_tolerance(monkeypatch):
     import extshuffle.relations as rel_mod
     from extshuffle import ZetaEstimate
@@ -163,11 +141,10 @@ def test_batched_scan_matches_per_composition_sums():
     basis = convergent_compositions(2, -1, 3)
     pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
     assert len(scan.relations) + len(scan.skipped) == len(pairs)
+    assert scan.skipped == ()
     expected = []
     for a, b in pairs:
         rel = double_shuffle_relation(a, b)
-        if rel.nonconvergent_terms:
-            continue
         total = err = 0.0
         for comp, coef in rel.difference.terms():
             est = zeta(comp, tol)
