@@ -59,18 +59,22 @@ class ChenFraction:
         missing = [i for i in self.var_indices if i not in point]
         if missing:
             raise ValueError(f"no value assigned to variable index {missing[0]}")
-        value = Fraction(1)
-        suffix = Fraction(0)
+        # integer numerators and denominators, normalized once at the end
+        num = den = 1
+        top, bottom = 0, 1  # the running suffix sum
         for j in range(self.depth - 1, -1, -1):  # innermost factor first
-            suffix += Fraction(point[self.var_indices[j]])
+            x = point[self.var_indices[j]]
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            top, bottom = top * x.denominator + x.numerator * bottom, bottom * x.denominator
             s = self.exponents[j]
             if s > 0:
-                if suffix == 0:
+                if top == 0:
                     raise VanishingDenominatorError(self.var_indices[j:])
-                value /= suffix**s
+                num, den = num * bottom**s, den * top**s
             elif s < 0:
-                value *= suffix ** (-s)
-        return value
+                num, den = num * top**-s, den * bottom**-s
+        return Fraction(num, den)
 
 
 FRACTION_UNIT = ChenFraction((), ())

@@ -44,13 +44,15 @@ of the factors' depths, and the restriction to compositions with all
 entries >= 1 agrees with the classical word shuffle pulled back along the
 encoding ``rho`` (implemented independently below as an oracle).
 
-One engine serves compositions and Chen symbols.  It works on pairs
-``(exponents, labels)``, whose label row rides along: each zero peeled off
-a factor keeps that factor's first label.  A composition is a symbol with
-an empty label row, for which ``labels[:1]`` is empty too.  Basis products
-have integer coefficients.  They are memoized with ``functools.cache`` as
-labelled pairs, and ``ext_shuffle``'s own results again with the label rows
-stripped; the caches are safe to share between threads (a lost race only
+One engine serves compositions and Chen symbols.  It works on flat terms of
+stride ``r``: a composition ``(s1, s2, ...)`` has ``r = 1``, and a Chen
+symbol interleaves each exponent with its label, ``(s1, u1, s2, u2, ...)``,
+with ``r = 2``.  The rest of a term is ``a[r:]`` and its first label
+``a[1:r]``, empty for a composition; a shifted head keeps its label, and
+each zero peeled off a factor keeps that factor's first label.  Basis
+products have integer coefficients.  One ``functools.cache`` memoizes them,
+keyed by both terms and the stride, and ``ext_shuffle`` hands out its values
+as they are; the cache is safe to share between threads (a lost race only
 recomputes a value).
 
 The word shuffle and the quasi-shuffle (stuffle) share ``_interleave``, which
@@ -75,74 +77,67 @@ X0, X1 = 0, 1
 # extended shuffle product
 
 
-def _put(out, coef, head, lab, terms):
-    """Store ``coef * [head, terms]`` in ``out``, with ``lab`` leading the
-    label rows; the new keys must not be in ``out`` yet."""
-    for (e, l), c in terms.items():
-        out[head + e, lab + l] = coef * c
+def _put(out, coef, head, terms):
+    """Store ``coef * (head + term)`` for each term in ``out``; the new keys
+    must not be in ``out`` yet."""
+    for term, c in terms.items():
+        out[head + term] = coef * c
     return out
 
 
 @cache
-def _product(a, b):
-    """Product of two ``(exponents, labels)`` pairs, as a map from such pairs
-    to nonzero integer coefficients; never mutated once built."""
-    (s, u), (t, v) = a, b
-    if not s:
+def _product(a, b, r):
+    """Product of two flat terms of stride ``r``, as a map from such terms to
+    nonzero integer coefficients; never mutated once built."""
+    if not a:
         return {b: 1}
-    if not t:
+    if not b:
         return {a: 1}
-    s1, t1 = s[0], t[0]
-    left, left_lab = (s[1:], u[1:]), u[:1]
-    right, right_lab = (t[1:], v[1:]), v[:1]
+    s1, t1 = a[0], b[0]
+    left, left_lab = a[r:], a[1:r]
+    right, right_lab = b[r:], b[1:r]
     out = {}
     # every call below has a smaller depth sum (the termination measure);
     # within each sum the heads differ, and so do the keys
     if s1 == 0:
-        return _put(out, 1, (0,), left_lab, _product(left, b))
+        return _put(out, 1, (0,) + left_lab, _product(left, b, r))
     if s1 < 0:
         m = -s1
         for k in range(m + 1):
             ck = (-1) ** k * comb(m, k)
-            _put(out, ck, (k - m,), left_lab, _product(left, ((t1 - k,) + t[1:], v)))
+            _put(out, ck, (k - m,) + left_lab, _product(left, (t1 - k,) + b[1:], r))
         return out
     if t1 == 0:
-        return _put(out, 1, (0,), right_lab, _product(a, right))
+        return _put(out, 1, (0,) + right_lab, _product(a, right, r))
     if t1 < 0:
         # the first sum's heads are below s1 - n, the second's are not
         n = -t1
         for k in range(min(s1 - 1, n) + 1):
             ck = (-1) ** k * comb(n, k)
-            _put(out, ck, (k - n,), right_lab, _product(((s1 - k,) + s[1:], u), right))
+            _put(out, ck, (k - n,) + right_lab, _product((s1 - k,) + a[1:], right, r))
         for j in range(n - s1 + 1):
             cj = (-1) ** s1 * comb(n - 1 - j, s1 - 1)
-            _put(out, cj, (s1 + j - n,), left_lab, _product(left, ((-j,) + t[1:], v)))
+            _put(out, cj, (s1 + j - n,) + left_lab, _product(left, (-j,) + b[1:], r))
         return out
     w = s1 + t1
     for j in range(1, t1 + 1):
         cj = comb(w - j - 1, s1 - 1)
-        _put(out, cj, (w - j,), left_lab, _product(left, ((j,) + t[1:], v)))
-    # the two sums share heads, so with empty label rows their terms merge
+        _put(out, cj, (w - j,) + left_lab, _product(left, (j,) + b[1:], r))
+    # the two sums share heads, so at stride 1 their terms merge
     for i in range(1, s1 + 1):
         ci = comb(w - i - 1, t1 - 1)
-        head = (w - i,)
-        for (e, l), c in _product(((i,) + s[1:], u), right).items():
-            key = (head + e, right_lab + l)
+        head = (w - i,) + right_lab
+        for term, c in _product((i,) + a[1:], right, r).items():
+            key = head + term
             out[key] = out.get(key, 0) + ci * c
     return {key: c for key, c in out.items() if c}
-
-
-@cache
-def _basis_product(a, b):
-    """``_product`` on two compositions, with the empty label rows stripped."""
-    return {e: c for (e, _), c in _product((a, ()), (b, ())).items()}
 
 
 def ext_shuffle(a: Composition, b: Composition) -> LinComb:
     """Extended shuffle product of two basis compositions."""
     a = composition(a)
     b = composition(b)
-    return LinComb._from_clean(_basis_product(a, b))
+    return LinComb._from_clean(_product(a, b, 1))
 
 
 def ext_shuffle_lin(x: LinComb, y: LinComb) -> LinComb:
@@ -151,7 +146,7 @@ def ext_shuffle_lin(x: LinComb, y: LinComb) -> LinComb:
     for ta, ca in x.items():
         for tb, cb in y.items():
             c = ca * cb
-            for (comp, _), k in _product((ta, ()), (tb, ())).items():
+            for comp, k in _product(ta, tb, 1).items():
                 v = acc.get(comp, 0) + c * k
                 if v:
                     acc[comp] = v

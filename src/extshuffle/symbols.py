@@ -4,16 +4,18 @@ A Chen symbol ``<s1,...,sk; u1,...,uk>`` pairs an integer composition (top
 row) with pairwise-distinct positive integer labels (bottom row).  Symbols
 with disjoint label sets are *independent*; only independent symbols may be
 multiplied.  The locality product is the extended shuffle engine of
-:mod:`extshuffle.shuffle` run on the symbol's two rows: the top row follows
+:mod:`extshuffle.shuffle` run at stride 2 on the symbol's two rows
+interleaved, ``(s1, u1, s2, u2, ...)``: the top row follows
 its three closed-form sums (the Leibniz rule solved for a negative leading
 entry on either side, and the generalized Euler decomposition for two
 positive ones), which descend by depth only, and each zero peeled off a
 factor keeps that factor's first label.  So every result term's label row is
 a shuffle of the two input label rows, and dropping the label rows projects
-back onto the composition algebra.
+back onto the composition algebra.  Those rows are valid by construction,
+so the result symbols skip the checks of the public constructor.
 
-Basis products share the engine's memo and its contract: values are
-immutable and the cache tolerates concurrent use.
+Basis products share the engine's one memo, keyed by term and stride, and its
+contract: values are immutable and the cache tolerates concurrent use.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ class ChenSymbol:
         exponents, labels = _check_rows(self.exponents, self.labels, "labels")
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _from_clean(cls, exponents, labels):
+        # Internal fast path: the rows must already be valid tuples.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "exponents", exponents)
+        object.__setattr__(obj, "labels", labels)
+        return obj
 
     @property
     def depth(self) -> int:
@@ -108,9 +118,10 @@ def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
     if not independent(a, b):
         shared = sorted(set(a.labels) & set(b.labels))
         raise ValueError(f"symbols are not independent, shared labels {shared}")
-    raw = _product((a.exponents, a.labels), (b.exponents, b.labels))
+    # each term interleaves its rows; the result rows are valid by construction
+    raw = _product(sum(zip(a.exponents, a.labels), ()), sum(zip(b.exponents, b.labels), ()), 2)
     return SymbolLinComb._from_clean(
-        {ChenSymbol(exp, lab): coef for (exp, lab), coef in raw.items()}
+        {ChenSymbol._from_clean(t[0::2], t[1::2]): coef for t, coef in raw.items()}
     )
 
 

@@ -174,3 +174,32 @@ def test_formal_terms_are_not_independent_but_panel_sees_through():
 def test_fraction_combination_text():
     product = fraction_product(ChenFraction((1,), (1,)), ChenFraction((1,), (2,)))
     assert str(product) == "f([1,1];[1,2]) + f([1,1];[2,1])"
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=4, max_size=4),
+)
+def test_evaluate_is_the_product_of_its_linear_forms(exponents, values):
+    frac = ChenFraction(tuple(exponents), tuple(range(1, len(exponents) + 1)))
+    point = dict(enumerate(values, start=1))
+    forms = [sum(values[j : len(exponents)]) for j in range(len(exponents))]
+    poles = [j for j, s in enumerate(exponents) if s > 0 and forms[j] == 0]
+    if poles:
+        # the innermost vanishing form is the one reported
+        with pytest.raises(VanishingDenominatorError) as err:
+            frac.evaluate(point)
+        assert err.value.indices == frac.var_indices[poles[-1] :]
+        return
+    expected = Fraction(1)
+    for s, form in zip(exponents, forms):
+        expected *= Fraction(form) ** -s
+    assert frac.evaluate(point) == expected
+
+
+def test_evaluate_accepts_int_and_float_coordinates():
+    frac = ChenFraction((2, -1), (1, 2))
+    exact = frac.evaluate({1: Fraction(1), 2: Fraction(1, 2)})
+    assert exact == Fraction(2, 9)
+    assert frac.evaluate({1: 1, 2: 0.5}) == exact
+    assert type(frac.evaluate({1: 1, 2: 1})) is Fraction

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -260,5 +261,57 @@ def test_word_shuffle_and_stuffle_need_no_recursion_and_little_memory():
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+_STRIDE_CHECKS = {
+    "symbols": (
+        "assert phi_project(symbol_product(ChenSymbol((1,), (2,)), ChenSymbol((3,), (1,))))"
+        " == ext_shuffle((1,), (3,))\n"
+    ),
+    "compositions": (
+        "words = word_shuffle(rho_encode((1, 2)), rho_encode((3, 1)))\n"
+        "expected = {rho_decode(w): c for w, c in words.items()}\n"
+        "assert dict(ext_shuffle((1, 2), (3, 1)).items()) == expected\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("first", ["symbols", "compositions"])
+def test_the_stride_keeps_symbols_and_compositions_apart_in_the_memo(first):
+    # the composition (1,2) x (3,1) and the symbol <[1];[2]> x <[3];[1]> are
+    # the same flat terms; whichever fills a fresh memo first, the other must
+    # not read its entry
+    second = "compositions" if first == "symbols" else "symbols"
+    code = (
+        "from extshuffle import ChenSymbol, ext_shuffle, phi_project, rho_decode,"
+        " rho_encode, symbol_product, word_shuffle\n"
+        + _STRIDE_CHECKS[first]
+        + _STRIDE_CHECKS[second]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_a_product_of_177147_terms_fits_in_256_mb():
+    # on Linux, a 256 MB address space; keying the memo by pairs of rows, or
+    # keeping a second copy of each result, needs more
+    code = (
+        "import sys\n"
+        "from extshuffle import ext_shuffle\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    import resource\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "assert len(ext_shuffle((3,) * 6, (3,) * 6).items()) == 177147\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()

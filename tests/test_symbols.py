@@ -204,3 +204,26 @@ def test_symbol_json():
             {"coef": "1", "comp": [1, 1], "labels": [2, 1]},
         ]
     }
+
+
+def _assert_valid_symbol(sym):
+    # result symbols skip the constructor's checks; they must pass them anyway
+    assert type(sym.exponents) is tuple and type(sym.labels) is tuple
+    assert len(sym.exponents) == len(sym.labels)
+    assert all(type(x) is int for x in sym.exponents + sym.labels)
+    assert ChenSymbol(sym.exponents, sym.labels) == sym
+
+
+@given(symbol_pairs(min_entry=-6, max_entry=6))
+def test_product_symbols_pass_the_constructor_checks(pair):
+    a, b = pair
+    for sym in symbol_product(a, b).support():
+        _assert_valid_symbol(sym)
+
+
+def test_product_symbols_with_the_unit_pass_the_constructor_checks():
+    sym = ChenSymbol((-2, 0, 3), (4, 1, 2))
+    for a, b in ((sym, SYMBOL_UNIT), (SYMBOL_UNIT, sym), (SYMBOL_UNIT, SYMBOL_UNIT)):
+        (term,) = symbol_product(a, b).support()
+        _assert_valid_symbol(term)
+        assert term == (sym if a.depth + b.depth else SYMBOL_UNIT)
