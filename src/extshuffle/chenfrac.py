@@ -9,6 +9,11 @@ fraction in any single variable is the constant 1), so equality of
 combinations is decided semantically, by exact rational evaluation on a
 deterministic panel of positive points, never by comparing term sets.
 Positive coordinates keep every sum-of-variables denominator nonzero.
+The test is one-sided: a ``False`` is exact (some point tells the two
+apart), but a ``True`` is not a proof.  With ``P`` the product of
+``(x - v)`` over the 7 distinct values of the default one-variable panel,
+the 8-term combination ``sum_k [x^k]P * f([-k];[1])`` vanishes on the
+panel, so ``equal_on_panel`` calls it zero, yet it is 425/9 at ``x1 = 3``.
 """
 
 from __future__ import annotations
@@ -91,6 +96,10 @@ class FractionLinComb(_TermSum):
     def _term_str(frac):
         return str(frac)
 
+    @staticmethod
+    def _json_term(frac):
+        return {"comp": list(frac.exponents), "var_indices": list(frac.var_indices)}
+
 
 def F_map(x: SymbolLinComb) -> FractionLinComb:
     """Reinterpret each Chen symbol as the fraction over its label variables."""
@@ -172,7 +181,11 @@ def evaluation_panel(indices: Iterable[int], *, count: int = 8, seed: int = 0) -
 
 
 def equal_on_panel(x, y, *, seed: int = 0, count: int = 8) -> bool:
-    """Semantic equality of two fractions/combinations on the evaluation panel."""
+    """Semantic equality of two fractions/combinations on the evaluation panel.
+
+    ``False`` is exact; ``True`` only means the two agree on the panel's
+    points, which is not a proof (see the module docstring).
+    """
     shared = sorted(set(variables(x)) | set(variables(y)))
     for point in evaluation_panel(shared, count=count, seed=seed):
         if evaluate(x, point) != evaluate(y, point):

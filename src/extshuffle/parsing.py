@@ -1,26 +1,37 @@
 """Parsers for the text formats: compositions, linear combinations, Chen
 symbols and fractions, and point assignments.
 
-Grammar sketch (whitespace tolerated everywhere):
+Grammar sketch:
 
     composition  :=  '1' | '[' int (',' int)* ']'
     lincomb      :=  term (('+' | '-') term)*
     term         :=  '-'? (rational composition? | composition)
     symbol       :=  '1' | '<' '[' ints ']' ';' '[' ints ']' '>'
     fraction     :=  '1' | 'f' '(' '[' ints ']' ';' '[' ints ']' ')'
-    assignment   :=  int '=' rational
+    assignment   :=  digits '=' rational
+    int          :=  [+-]? digits
 
-A bare rational parses as that multiple of the unit, matching how linear
-combinations print.  Errors carry the offending position.
+Whitespace is allowed between any two tokens, but a sign must touch its
+digits (``[- 1]`` is an error; a lincomb's ``-`` is a token of its own).
+Digits are Unicode decimal digits, as ``int()`` reads them; a number over
+the interpreter's digit limit is a ``ParseError``.  Errors carry the
+offending position.  A bare rational is that multiple of the unit ``1``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .algebra import Composition, LinComb
 from .chenfrac import ChenFraction
 from .symbols import ChenSymbol
+
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"[+-]?\d+")
+_DIGITS = re.compile(r"\d+")
+_END = re.compile(r"\Z")
 
 
 class ParseError(ValueError):
@@ -31,6 +42,8 @@ class ParseError(ValueError):
 
 
 class _Cursor:
+    """Reads tokens left to right; each read skips the whitespace before it."""
+
     __slots__ = ("text", "pos")
 
     def __init__(self, text: str):
@@ -40,82 +53,65 @@ class _Cursor:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.text, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def at(self, token):
+        """Skip whitespace, then peek: does the next token start with ``token``
+        (a string), or what does ``token`` (a compiled pattern) match there?"""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        if isinstance(token, str):
+            return self.text.startswith(token, self.pos)
+        return token.match(self.text, self.pos)
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else None
+    def take(self, token: str) -> bool:
+        found = self.at(token)
+        if found:
+            self.pos += len(token)
+        return found
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise self.error(f"expected {ch!r}")
+    def expect(self, token: str):
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
 
     def expect_end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if not self.at(_END):
             raise self.error("unexpected trailing input")
 
-    def integer(self) -> int:
-        start = self.pos
-        if self.peek() in ("-", "+"):
-            self.pos += 1
-        digits = self.pos
-        while self.peek() is not None and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            self.pos = start
-            raise self.error("expected integer")
-        return int(self.text[start : self.pos])
-
-    def unsigned(self) -> int:
-        if self.peek() is None or not self.text[self.pos].isdecimal():
-            raise self.error("expected digit")
-        return self.integer()
+    def integer(self, pattern=_INTEGER, expected: str = "integer") -> int:
+        match = self.at(pattern)
+        if not match:
+            raise self.error(f"expected {expected}")
+        try:
+            value = int(match.group())
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer over {sys.get_int_max_str_digits()} digits") from None
+        self.pos = match.end()
+        return value
 
     def rational(self) -> Fraction:
         num = self.integer()
-        self.skip_ws()
-        if self.take("/"):
-            self.skip_ws()
-            den = self.integer()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        if not self.take("/"):
+            return Fraction(num)
+        den = self.integer()
+        if den == 0:
+            raise self.error("zero denominator")
+        return Fraction(num, den)
 
     def int_list(self) -> tuple:
         self.expect("[")
-        self.skip_ws()
         entries = [self.integer()]
-        self.skip_ws()
         while self.take(","):
-            self.skip_ws()
             entries.append(self.integer())
-            self.skip_ws()
         self.expect("]")
         return tuple(entries)
-
-    def composition_atom(self) -> Composition:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "[":
-            return self.int_list()
-        if ch == "1":
-            self.pos += 1
-            return ()
-        raise self.error("expected composition ('[...]' or '1')")
 
 
 def parse_composition(text: str) -> Composition:
     cur = _Cursor(text)
-    comp = cur.composition_atom()
+    if cur.take("1"):
+        comp = ()
+    elif cur.at("["):
+        comp = cur.int_list()
+    else:
+        raise cur.error("expected composition ('[...]' or '1')")
     cur.expect_end()
     return comp
 
@@ -123,57 +119,38 @@ def parse_composition(text: str) -> Composition:
 def parse_lincomb(text: str) -> LinComb:
     cur = _Cursor(text)
     terms = []
-    cur.skip_ws()
-    first = True
     while True:
         sign = 1
         if cur.take("-"):
             sign = -1
         elif cur.take("+"):
-            if first:
+            if not terms:
                 raise cur.error("unexpected leading '+'")
-        elif not first:
+        elif terms:
             break
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch == "[":
-            comp = cur.int_list()
-            coef = Fraction(sign)
-        elif ch is not None and ch.isdecimal():
+        if cur.at("["):
+            comp, coef = cur.int_list(), Fraction(sign)
+        elif cur.at(_DIGITS):
             coef = sign * cur.rational()
-            cur_pos = cur.pos
-            cur.skip_ws()
-            if cur.peek() == "[":
-                comp = cur.int_list()
-            else:
-                cur.pos = cur_pos
-                comp = ()
+            comp = cur.int_list() if cur.at("[") else ()
         else:
             raise cur.error("expected a term")
         terms.append((comp, coef))
-        first = False
-        cur.skip_ws()
     cur.expect_end()
     return LinComb(terms)
 
 
 def _two_rows(text: str, opening: str, closing: str) -> tuple:
-    """The two integer rows of ``opening [ints] ; [ints] closing``, or two
-    empty rows for the unit ``1``; whitespace may follow each token."""
+    """The rows of ``opening [ints] ; [ints] closing``, or two empty rows for ``1``."""
     cur = _Cursor(text)
-    cur.skip_ws()
     if cur.take("1"):
         cur.expect_end()
         return (), ()
     for ch in opening:
         cur.expect(ch)
-        cur.skip_ws()
     top = cur.int_list()
-    cur.skip_ws()
     cur.expect(";")
-    cur.skip_ws()
     bottom = cur.int_list()
-    cur.skip_ws()
     cur.expect(closing)
     cur.expect_end()
     return top, bottom
@@ -190,11 +167,8 @@ def parse_fraction(text: str) -> ChenFraction:
 def parse_assignment(text: str) -> tuple:
     """Parse one ``index=value`` pair, e.g. ``3=1/2``."""
     cur = _Cursor(text)
-    cur.skip_ws()
-    index = cur.unsigned()
-    cur.skip_ws()
+    index = cur.integer(_DIGITS, "digit")
     cur.expect("=")
-    cur.skip_ws()
     value = cur.rational()
     cur.expect_end()
     return index, value

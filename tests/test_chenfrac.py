@@ -176,6 +176,19 @@ def test_fraction_combination_text():
     assert str(product) == "f([1,1];[1,2]) + f([1,1];[2,1])"
 
 
+def test_fraction_combination_json():
+    product = fraction_product(ChenFraction((1,), (1,)), ChenFraction((2,), (2,)))
+    assert product.to_json_dict() == {
+        "terms": [
+            {"coef": "1", "comp": [1, 2], "var_indices": [1, 2]},
+            {"coef": "1", "comp": [2, 1], "var_indices": [1, 2]},
+            {"coef": "1", "comp": [2, 1], "var_indices": [2, 1]},
+        ]
+    }
+    unit = FractionLinComb.basis(FRACTION_UNIT, Fraction(-1, 2)).to_json_dict()
+    assert unit == {"terms": [{"coef": "-1/2", "comp": [], "var_indices": []}]}
+
+
 @given(
     st.lists(st.integers(-3, 3), min_size=1, max_size=4),
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=4, max_size=4),

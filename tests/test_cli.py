@@ -61,6 +61,17 @@ def test_non_decimal_digit_is_a_parse_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_integer_over_the_digit_limit_is_a_parse_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "convergent", "[" + "9" * limit + "]")
+    assert (code, out) == (0, "convergent\n")
+    code, out, err = run(capsys, "convergent", "[" + "9" * (limit + 1) + "]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: integer over {limit} digits at position 1 ")
+    assert err.count("\n") == 1
+
+
 def test_output_reparses_to_equal_lincomb(capsys):
     for a, b in [("[2]", "[3]"), ("[-2,1]", "[0,4]"), ("[1]", "[-1]")]:
         code, out, _ = run(capsys, "shuffle", a, b)

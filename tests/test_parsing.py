@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,3 +122,77 @@ def test_parse_assignment():
         parse_assignment("3=")
     with pytest.raises(ParseError):
         parse_assignment("3=1/0")
+
+
+# every message, with its position, as the parser has always reported it
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_composition, "[- 1]", "expected integer at position 1 in '[- 1]'"),
+        (parse_composition, "[1,]", "expected integer at position 3 in '[1,]'"),
+        (parse_composition, "[]", "expected integer at position 1 in '[]'"),
+        (parse_composition, "[\u00b2]", "expected integer at position 1 in '[\u00b2]'"),
+        (parse_lincomb, "1/", "expected integer at position 2 in '1/'"),
+        (parse_lincomb, "[1] - 2/x", "expected integer at position 8 in '[1] - 2/x'"),
+        (parse_assignment, "3=", "expected integer at position 2 in '3='"),
+        (parse_assignment, "3 = - 1", "expected integer at position 4 in '3 = - 1'"),
+        (parse_symbol, "<[x];[1]>", "expected integer at position 2 in '<[x];[1]>'"),
+        (parse_assignment, "x=1", "expected digit at position 0 in 'x=1'"),
+        (parse_assignment, "-1=2", "expected digit at position 0 in '-1=2'"),
+        (parse_assignment, " \u00b2=1", "expected digit at position 1 in ' \u00b2=1'"),
+        (parse_assignment, "3 4", "expected '=' at position 2 in '3 4'"),
+        (parse_symbol, "<1];[2]>", "expected '[' at position 1 in '<1];[2]>'"),
+        (parse_symbol, "<[1]; 2]>", "expected '[' at position 6 in '<[1]; 2]>'"),
+        (parse_fraction, "f( 1];[2])", "expected '[' at position 3 in 'f( 1];[2])'"),
+        (parse_composition, "[1,", "expected integer at position 3 in '[1,'"),
+        (parse_composition, "[1 2]", "expected ']' at position 3 in '[1 2]'"),
+        (parse_fraction, "f([1;[2])", "expected ']' at position 4 in 'f([1;[2])'"),
+        (parse_symbol, "<[1] [2]>", "expected ';' at position 5 in '<[1] [2]>'"),
+        (parse_symbol, "<[1];[2]", "expected '>' at position 8 in '<[1];[2]'"),
+        (parse_symbol, "<[1];[2] )", "expected '>' at position 9 in '<[1];[2] )'"),
+        (parse_fraction, "g([1];[1])", "expected 'f' at position 0 in 'g([1];[1])'"),
+        (parse_symbol, " [1];[2]>", "expected '<' at position 1 in ' [1];[2]>'"),
+        (parse_fraction, "f [1];[1])", "expected '(' at position 2 in 'f [1];[1])'"),
+        (parse_fraction, "f([1];[2]", "expected ')' at position 9 in 'f([1];[2]'"),
+        (parse_fraction, "f([1];[2]>", "expected ')' at position 9 in 'f([1];[2]>'"),
+        (parse_composition, "", "expected composition ('[...]' or '1') at position 0 in ''"),
+        (parse_composition, "  x", "expected composition ('[...]' or '1') at position 2 in '  x'"),
+        (parse_composition, "2", "expected composition ('[...]' or '1') at position 0 in '2'"),
+        (parse_lincomb, "", "expected a term at position 0 in ''"),
+        (parse_lincomb, "[1] + ", "expected a term at position 6 in '[1] + '"),
+        (parse_lincomb, "- -3", "expected a term at position 2 in '- -3'"),
+        (parse_lincomb, "x", "expected a term at position 0 in 'x'"),
+        (parse_lincomb, "+[1]", "unexpected leading '+' at position 1 in '+[1]'"),
+        (parse_lincomb, "  + 1", "unexpected leading '+' at position 3 in '  + 1'"),
+        (parse_assignment, "3=1/0", "zero denominator at position 5 in '3=1/0'"),
+        (parse_lincomb, "1/0", "zero denominator at position 3 in '1/0'"),
+        (parse_lincomb, "[1] - 2/ 00 [2]", "zero denominator at position 11 in '[1] - 2/ 00 [2]'"),
+        (parse_composition, "[1]]", "unexpected trailing input at position 3 in '[1]]'"),
+        (parse_composition, "[1] junk", "unexpected trailing input at position 4 in '[1] junk'"),
+        (parse_composition, "12", "unexpected trailing input at position 1 in '12'"),
+        (parse_lincomb, "[1] [2]", "unexpected trailing input at position 4 in '[1] [2]'"),
+        (parse_symbol, "1 x", "unexpected trailing input at position 2 in '1 x'"),
+        (parse_fraction, "f([1];[2]))", "unexpected trailing input at position 10 in 'f([1];[2]))'"),
+        (parse_assignment, "1=2 3", "unexpected trailing input at position 4 in '1=2 3'"),
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_integers_up_to_the_digit_limit_parse():
+    limit = sys.get_int_max_str_digits()
+    assert parse_composition("[" + "9" * limit + "]") == (10**limit - 1,)
+    assert parse_composition("[-" + "9" * limit + "]") == (1 - 10**limit,)
+    text = "[1, -" + "9" * (limit + 1) + "]"
+    with pytest.raises(ParseError) as err:
+        parse_composition(text)
+    assert err.value.pos == 4  # the number's first character, its sign
+    assert str(err.value).startswith(f"integer over {limit} digits at position 4 ")
+    with pytest.raises(ParseError) as err:
+        parse_lincomb("1/" + "0" * (limit + 1))
+    assert err.value.pos == 2
+    with pytest.raises(ParseError):
+        parse_assignment("9" * (limit + 1) + "=1")
