@@ -86,13 +86,7 @@ class _TermSum:
 
     __slots__ = ("_terms",)
 
-    @staticmethod
-    def _key(term):
-        raise NotImplementedError
-
-    @staticmethod
-    def _term_str(term) -> str:
-        raise NotImplementedError
+    _term_str = staticmethod(str)  # each subclass gives _key, a term's sort key
 
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .algebra import _TermSum, format_composition
@@ -61,6 +62,10 @@ class ChenFraction:
 
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         """Exact value at a rational point assigning every variable index."""
+        return Fraction(*self._ratio(point))
+
+    def _ratio(self, point) -> tuple:
+        """The value at ``point`` as integers ``(num, den)``, not normalized."""
         missing = [i for i in self.var_indices if i not in point]
         if missing:
             raise ValueError(f"no value assigned to variable index {missing[0]}")
@@ -79,7 +84,7 @@ class ChenFraction:
                 num, den = num * bottom**s, den * top**s
             elif s < 0:
                 num, den = num * top**-s, den * bottom**-s
-        return Fraction(num, den)
+        return num, den
 
 
 FRACTION_UNIT = ChenFraction((), ())
@@ -91,10 +96,6 @@ class FractionLinComb(_TermSum):
     @staticmethod
     def _key(frac):
         return (len(frac.var_indices), frac.var_indices, frac.exponents)
-
-    @staticmethod
-    def _term_str(frac):
-        return str(frac)
 
     @staticmethod
     def _json_term(frac):
@@ -112,10 +113,14 @@ def evaluate(x, point: Mapping[int, Fraction]) -> Fraction:
     """Exact rational value of a fraction or a combination at ``point``."""
     if isinstance(x, ChenFraction):
         return x.evaluate(point)
-    total = Fraction(0)
+    # one integer ratio over the least common denominator, normalized once
+    top, bottom = 0, 1
     for frac, coef in x.items():
-        total += Fraction(coef) * frac.evaluate(point)
-    return total
+        num, den = frac._ratio(point)
+        num, den = num * coef.numerator, den * coef.denominator
+        g = gcd(bottom, den)
+        top, bottom = top * (den // g) + num * (bottom // g), bottom // g * den
+    return Fraction(top, bottom)
 
 
 def variables(x) -> tuple:

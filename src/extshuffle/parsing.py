@@ -15,7 +15,8 @@ Whitespace is allowed between any two tokens, but a sign must touch its
 digits (``[- 1]`` is an error; a lincomb's ``-`` is a token of its own).
 Digits are Unicode decimal digits, as ``int()`` reads them; a number over
 the interpreter's digit limit is a ``ParseError``.  Errors carry the
-offending position.  A bare rational is that multiple of the unit ``1``.
+offending position; the message echoes the input only within 30 characters
+of it.  A bare rational is that multiple of the unit ``1``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"[+-]?\d+")
 _DIGITS = re.compile(r"\d+")
 _END = re.compile(r"\Z")
+_ECHO = 30  # characters of the input a message shows on each side of the position
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        # .text keeps the whole input; "..." outside the quotes marks a cut end
+        start, end = max(pos - _ECHO, 0), pos + _ECHO
+        shown = f"{'...' * (start > 0)}{text[start:end]!r}{'...' * (end < len(text))}"
+        super().__init__(f"{message} at position {pos} in {shown}")
         self.text = text
         self.pos = pos
 

@@ -55,6 +55,11 @@ keyed by both terms and the stride, and ``ext_shuffle`` hands out its values
 as they are; the cache is safe to share between threads (a lost race only
 recomputes a value).
 
+A sum that may meet keys already stored adds through ``algebra._merge``,
+which drops what cancels: the second ``s1, t1 > 0`` sum (its heads are the
+first's), the bilinear extension and each ``_interleave`` cell.  The other
+sums' heads are distinct, so ``_put``, the hottest loop, just stores.
+
 The word shuffle and the quasi-shuffle (stuffle) share ``_interleave``, which
 fills the table over suffix pairs iteratively and so does not recurse.  It
 keeps no memo: each call builds and returns a fresh map.
@@ -65,7 +70,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .algebra import Composition, LinComb, composition
+from .algebra import Composition, LinComb, _merge, composition
 
 Word = tuple
 """A word over the two-letter alphabet, as a tuple of 0/1 integers."""
@@ -79,7 +84,7 @@ X0, X1 = 0, 1
 
 def _put(out, coef, head, terms):
     """Store ``coef * (head + term)`` for each term in ``out``; the new keys
-    must not be in ``out`` yet."""
+    must not be in ``out`` yet, so no lookup or zero test is needed."""
     for term, c in terms.items():
         out[head + term] = coef * c
     return out
@@ -127,10 +132,9 @@ def _product(a, b, r):
     for i in range(1, s1 + 1):
         ci = comb(w - i - 1, t1 - 1)
         head = (w - i,) + right_lab
-        for term, c in _product((i,) + a[1:], right, r).items():
-            key = head + term
-            out[key] = out.get(key, 0) + ci * c
-    return {key: c for key, c in out.items() if c}
+        sub = _product((i,) + a[1:], right, r)
+        _merge(out, ((head + term, ci * c) for term, c in sub.items()))
+    return out
 
 
 def ext_shuffle(a: Composition, b: Composition) -> LinComb:
@@ -146,12 +150,7 @@ def ext_shuffle_lin(x: LinComb, y: LinComb) -> LinComb:
     for ta, ca in x.items():
         for tb, cb in y.items():
             c = ca * cb
-            for comp, k in _product(ta, tb, 1).items():
-                v = acc.get(comp, 0) + c * k
-                if v:
-                    acc[comp] = v
-                else:
-                    del acc[comp]
+            _merge(acc, ((comp, c * k) for comp, k in _product(ta, tb, 1).items()))
     return LinComb._from_clean(acc)
 
 
@@ -225,12 +224,7 @@ def _interleave(a, b, merge):
             steps = [(a[i], below[j]), (b[j], row[j + 1])]
             if merge:
                 steps.append((a[i] + b[j], below[j + 1]))
-            acc: dict = {}
-            for head, sub in steps:
-                for w, c in sub.items():
-                    key = (head,) + w
-                    acc[key] = acc.get(key, 0) + c
-            row[j] = acc
+            row[j] = _merge({}, (((h,) + w, c) for h, sub in steps for w, c in sub.items()))
         below = row
     return below[0]
 

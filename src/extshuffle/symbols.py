@@ -87,10 +87,6 @@ class SymbolLinComb(_TermSum):
         return (len(sym.labels), sym.labels, sym.exponents)
 
     @staticmethod
-    def _term_str(sym):
-        return str(sym)
-
-    @staticmethod
     def _json_term(sym):
         return {"comp": list(sym.exponents), "labels": list(sym.labels)}
 

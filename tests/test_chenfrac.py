@@ -216,3 +216,32 @@ def test_evaluate_accepts_int_and_float_coordinates():
     assert exact == Fraction(2, 9)
     assert frac.evaluate({1: 1, 2: 0.5}) == exact
     assert type(frac.evaluate({1: 1, 2: 1})) is Fraction
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-3, 3), max_size=3),
+            st.permutations((1, 2, 3)),
+            st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)),
+        ),
+        max_size=6,
+    ),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=3, max_size=3),
+)
+def test_combination_value_is_the_sum_of_its_term_values(raw_terms, values):
+    x = FractionLinComb(
+        (ChenFraction(tuple(e), tuple(labels[: len(e)])), c) for e, labels, c in raw_terms
+    )
+    point = dict(enumerate(values, start=1))
+    try:
+        expected = Fraction(0)
+        for frac, coef in x.items():
+            expected += Fraction(coef) * frac.evaluate(point)
+    except VanishingDenominatorError as term_error:
+        with pytest.raises(VanishingDenominatorError) as err:
+            evaluate(x, point)
+        assert err.value.indices == term_error.indices
+        return
+    value = evaluate(x, point)
+    assert value == expected and type(value) is Fraction

@@ -72,6 +72,15 @@ def test_integer_over_the_digit_limit_is_a_parse_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_an_over_long_argument_gives_a_short_error_line(capsys):
+    nines = "[" + "9" * (sys.get_int_max_str_digits() + 1) + "]"
+    code, out, err = run(capsys, "convergent", nines)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) <= 201
+    assert err.startswith("error: ") and " at position 1 in " in err
+
+
 def test_output_reparses_to_equal_lincomb(capsys):
     for a, b in [("[2]", "[3]"), ("[-2,1]", "[0,4]"), ("[1]", "[-1]")]:
         code, out, _ = run(capsys, "shuffle", a, b)
@@ -442,6 +451,22 @@ def test_import_leaves_numpy_unloaded():
         "-c", "import sys, extshuffle; print('numpy' in sys.modules)", capture_output=True
     )
     assert done.stdout.decode().strip() == "False"
+
+
+def test_a_5000_entry_input_computes_or_is_a_one_line_usage_error():
+    # the engine recurses once per unit of depth sum, so under Python's
+    # default recursion limit this product of depth sum 5001 cannot finish;
+    # either way the user sees the one term or one "error:" line
+    deep = "[" + ",".join(["1"] * 5000) + "]"
+    done = _python("-m", "extshuffle", "shuffle", deep, "[1]", capture_output=True)
+    err = done.stderr.decode()
+    assert "Traceback" not in err
+    if done.returncode == 0:
+        assert done.stdout.decode() == "5001[" + ",".join(["1"] * 5001) + "]\n"
+    else:
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert err.count("\n") == 1 and err.startswith("error:") and "RecursionError" in err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import compositions
@@ -36,6 +36,7 @@ from extshuffle import (
     symbol_product,
     word_shuffle,
 )
+from extshuffle.shuffle import _product
 from test_symbols import _is_shuffle_of, symbol_pairs
 
 
@@ -315,3 +316,27 @@ def test_a_product_of_177147_terms_fits_in_256_mb():
         capture_output=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# the merge contract: a stored product keeps no zero coefficient
+
+
+def test_the_shared_head_sums_of_1_m1_squared_cancel_a_term():
+    # (1,-1) x (1,-1): both sums of the s1, t1 > 0 case have the head 1, with
+    # coefficient C(0,0) = 1; their [1,0,0,-1] terms cancel
+    first = _product((-1,), (1, -1), 1)
+    second = _product((1, -1), (-1,), 1)
+    assert first[(0, 0, -1)] + second[(0, 0, -1)] == 0
+    assert _product((1, -1), (1, -1), 1) == {(1, -1, 1, -1): 2, (1, 0, -1, 0): -1}
+
+
+@given(symbol_pairs(min_entry=-2, max_entry=3))
+@example((ChenSymbol((1, -1), (1, 2)), ChenSymbol((1, -1), (3, 4))))
+def test_no_stored_product_has_a_zero_coefficient(pair):
+    sa, sb = pair
+    a, b = sa.exponents, sb.exponents
+    assert 0 not in _product(a, b, 1).values()
+    flat_a = sum(zip(sa.exponents, sa.labels), ())
+    flat_b = sum(zip(sb.exponents, sb.labels), ())
+    assert 0 not in _product(flat_a, flat_b, 2).values()

@@ -196,3 +196,25 @@ def test_integers_up_to_the_digit_limit_parse():
     assert err.value.pos == 2
     with pytest.raises(ParseError):
         parse_assignment("9" * (limit + 1) + "=1")
+
+
+def test_a_long_input_is_echoed_only_near_the_error():
+    text = "[" + "1," * 100 + "x" + ",1" * 100 + "]"
+    with pytest.raises(ParseError) as err:
+        parse_composition(text)
+    assert (err.value.text, err.value.pos) == (text, 201)
+    shown = repr(text[171:231])
+    assert str(err.value) == f"expected integer at position 201 in ...{shown}..."
+    limit = sys.get_int_max_str_digits()
+    nines = "[" + "9" * (limit + 1) + "]"
+    with pytest.raises(ParseError) as err:
+        parse_composition(nines)
+    assert (err.value.text, err.value.pos) == (nines, 1)
+    assert str(err.value) == f"integer over {limit} digits at position 1 in {nines[:31]!r}..."
+
+
+@pytest.mark.parametrize("length, shown", [(30, repr("x" * 30)), (31, repr("x" * 30) + "...")])
+def test_the_echo_is_cut_only_past_30_characters_of_the_position(length, shown):
+    with pytest.raises(ParseError) as err:
+        parse_composition("x" * length)
+    assert str(err.value).endswith(f"at position 0 in {shown}")

@@ -92,6 +92,13 @@ def test_ext_shuffle_lin_examples():
     ) == lc(((0, 1), 1), ((0, 0), 1))
 
 
+def test_ext_shuffle_lin_drops_the_terms_that_cancel():
+    # [1] x [0] = [0,1] = [0] x [1], so those two products cancel in full
+    x = LinComb.basis((1,)) + LinComb.basis((0,))
+    y = LinComb.basis((0,)) - LinComb.basis((1,))
+    assert dict(ext_shuffle_lin(x, y).items()) == {(0, 0): 1, (1, 1): -2}
+
+
 @given(compositions(-2, 2, 2), compositions(-2, 2, 2), st.integers(-3, 3), st.integers(-3, 3))
 def test_bilinearity(a, b, ca, cb):
     x = LinComb.basis(a, ca)
