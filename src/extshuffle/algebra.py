@@ -75,6 +75,37 @@ def _merge(data, items):
     return data
 
 
+class _Record(tuple):
+    """Base of the immutable basis and result records.
+
+    A record is ``class X(_Record, namedtuple("X", "field ..."))`` with
+    ``__slots__ = ()``: a named tuple, readable by field name and by position,
+    with the named tuple's ``repr`` and the hash of its fields.  It equals only
+    records of its own class, never a plain tuple or a record of another class
+    with the same fields, and ``_make`` (so also ``_replace``) goes through the
+    class's constructor, so every way of building a record runs its checks.
+    Reading a field by name costs a descriptor call, so hot loops unpack the
+    record once instead.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other, _tuple_eq=tuple.__eq__):  # bound once: == is hot on dict keys
+        if type(other) is type(self):
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _TermSum:
     """Sparse formal sum of basis terms with exact rational coefficients.
 

@@ -19,12 +19,12 @@ panel, so ``equal_on_panel`` calls it zero, yet it is 425/9 at ``x1 = 3``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .algebra import _TermSum, format_composition
+from .algebra import _Record, _TermSum, format_composition
 from .symbols import ChenSymbol, SymbolLinComb, _check_rows, symbol_product
 
 
@@ -37,17 +37,13 @@ class VanishingDenominatorError(ArithmeticError):
         super().__init__(f"denominator {form} vanishes at the evaluation point")
 
 
-@dataclass(frozen=True)
-class ChenFraction:
+class ChenFraction(_Record, namedtuple("ChenFraction", "exponents var_indices")):
     """One generalized Chen fraction; the unit (both rows empty) is the constant 1."""
 
-    exponents: tuple
-    var_indices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        exponents, indices = _check_rows(self.exponents, self.var_indices, "variable indices")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "var_indices", indices)
+    def __new__(cls, exponents, var_indices):
+        return tuple.__new__(cls, _check_rows(exponents, var_indices, "variable indices"))
 
     @property
     def depth(self) -> int:
@@ -66,21 +62,22 @@ class ChenFraction:
 
     def _ratio(self, point) -> tuple:
         """The value at ``point`` as integers ``(num, den)``, not normalized."""
-        missing = [i for i in self.var_indices if i not in point]
+        exponents, indices = self  # a named field read costs more than this unpacking
+        missing = [i for i in indices if i not in point]
         if missing:
             raise ValueError(f"no value assigned to variable index {missing[0]}")
         # integer numerators and denominators, normalized once at the end
         num = den = 1
         top, bottom = 0, 1  # the running suffix sum
-        for j in range(self.depth - 1, -1, -1):  # innermost factor first
-            x = point[self.var_indices[j]]
+        for j in range(len(exponents) - 1, -1, -1):  # innermost factor first
+            x = point[indices[j]]
             if not isinstance(x, Fraction):
                 x = Fraction(x)
             top, bottom = top * x.denominator + x.numerator * bottom, bottom * x.denominator
-            s = self.exponents[j]
+            s = exponents[j]
             if s > 0:
                 if top == 0:
-                    raise VanishingDenominatorError(self.var_indices[j:])
+                    raise VanishingDenominatorError(indices[j:])
                 num, den = num * bottom**s, den * top**s
             elif s < 0:
                 num, den = num * top**-s, den * bottom**-s

@@ -17,21 +17,18 @@ time; ``RelationScan.skipped`` is kept for its readers and is always empty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import Composition, LinComb, composition
+from .algebra import Composition, LinComb, _Record, composition
 from .convergence import is_convergent, require_convergent
 from .shuffle import ext_shuffle, stuffle
 from .zeta import DEFAULT_MAX_N, _check_numeric, _combine
 
 
-@dataclass(frozen=True)
-class DoubleShuffleRelation:
+class DoubleShuffleRelation(_Record, namedtuple("DoubleShuffleRelation", "a b difference")):
     """Quasi-shuffle minus shuffle expansion of one convergent pair."""
 
-    a: Composition
-    b: Composition
-    difference: LinComb
+    __slots__ = ()
 
 
 def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRelation:
@@ -47,27 +44,21 @@ def double_shuffle_relation(a: Composition, b: Composition) -> DoubleShuffleRela
     return DoubleShuffleRelation(a, b, stuffle(a, b) - ext_shuffle(a, b))
 
 
-@dataclass(frozen=True)
-class CertifiedRelation:
+class CertifiedRelation(
+    _Record, namedtuple("CertifiedRelation", "a b difference residual est_error passed")
+):
     """A relation with the series of its difference: it ``passed`` when the
     estimate converged and the residual is within the tolerance plus the
     estimated error."""
 
-    a: Composition
-    b: Composition
-    difference: LinComb
-    residual: float
-    est_error: float
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RelationScan:
+class RelationScan(_Record, namedtuple("RelationScan", "relations skipped", defaults=((),))):
     """The certified relations of a scan.  ``skipped`` is always ``()``:
     closure leaves no pair to skip (module note)."""
 
-    relations: tuple
-    skipped: tuple = ()
+    __slots__ = ()
 
 
 def convergent_compositions(max_depth: int, min_entry: int, max_entry: int):

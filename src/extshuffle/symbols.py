@@ -20,9 +20,9 @@ contract: values are immutable and the cache tolerates concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import LinComb, _TermSum, _merge, composition, format_composition
+from .algebra import LinComb, _Record, _TermSum, _merge, composition, format_composition
 from .shuffle import _product
 
 
@@ -44,25 +44,18 @@ def _check_rows(exponents, indices, name):
     return exponents, indices
 
 
-@dataclass(frozen=True)
-class ChenSymbol:
+class ChenSymbol(_Record, namedtuple("ChenSymbol", "exponents labels")):
     """Two-row basis symbol; the unit has both rows empty."""
 
-    exponents: tuple
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        exponents, labels = _check_rows(self.exponents, self.labels, "labels")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, exponents, labels):
+        return tuple.__new__(cls, _check_rows(exponents, labels, "labels"))
 
     @classmethod
     def _from_clean(cls, exponents, labels):
         # Internal fast path: the rows must already be valid tuples.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "exponents", exponents)
-        object.__setattr__(obj, "labels", labels)
-        return obj
+        return tuple.__new__(cls, (exponents, labels))
 
     @property
     def depth(self) -> int:

@@ -86,13 +86,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from numbers import Integral
 from operator import mul
 
-from .algebra import Composition, LinComb, composition, depth, format_composition as _fmt
+from .algebra import Composition, LinComb, _Record, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
 from .shuffle import ext_shuffle
 
@@ -109,14 +109,10 @@ _MAX_CUTOFF = 1 << 53  # the sweep holds n as float64, which is exact up to here
 _LOCAL = threading.local()  # each thread's sweep workspace, see _workspace
 
 
-@dataclass(frozen=True)
-class ZetaEstimate:
+class ZetaEstimate(_Record, namedtuple("ZetaEstimate", "value cutoff est_error converged")):
     """A series value with its empirical error metadata."""
 
-    value: float
-    cutoff: int
-    est_error: float
-    converged: bool
+    __slots__ = ()
 
 
 def _chunks(comps, budget):
@@ -509,19 +505,16 @@ def zeta_of_lincomb(x: LinComb, tol: float, *, max_n: int = DEFAULT_MAX_N) -> Ze
     return _combine([x], tol, max_n)[0]
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(
+    _Record,
+    namedtuple(
+        "HomomorphismReport",
+        "a b expansion lhs rhs_value rhs_error delta tolerance passed",
+    ),
+):
     """Outcome of checking ``zeta(a x b) == zeta(a) * zeta(b)`` numerically."""
 
-    a: Composition
-    b: Composition
-    expansion: LinComb
-    lhs: ZetaEstimate
-    rhs_value: float
-    rhs_error: float
-    delta: float
-    tolerance: float
-    passed: bool
+    __slots__ = ()
 
 
 def verify_homomorphism(
