@@ -45,6 +45,11 @@ class ChenFraction(_Record, namedtuple("ChenFraction", "exponents var_indices"))
     def __new__(cls, exponents, var_indices):
         return tuple.__new__(cls, _check_rows(exponents, var_indices, "variable indices"))
 
+    @classmethod
+    def _from_clean(cls, exponents, var_indices):
+        # Internal fast path: the rows must already be valid tuples.
+        return tuple.__new__(cls, (exponents, var_indices))
+
     @property
     def depth(self) -> int:
         return len(self.exponents)
@@ -92,7 +97,8 @@ class FractionLinComb(_TermSum):
 
     @staticmethod
     def _key(frac):
-        return (len(frac.var_indices), frac.var_indices, frac.exponents)
+        exponents, indices = frac  # a named field read costs more than this unpacking
+        return (len(indices), indices, exponents)
 
     @staticmethod
     def _json_term(frac):
@@ -101,8 +107,9 @@ class FractionLinComb(_TermSum):
 
 def F_map(x: SymbolLinComb) -> FractionLinComb:
     """Reinterpret each Chen symbol as the fraction over its label variables."""
+    # a symbol's rows are valid fraction rows
     return FractionLinComb._from_clean(
-        {ChenFraction(sym.exponents, sym.labels): coef for sym, coef in x.items()}
+        {ChenFraction._from_clean(*sym): coef for sym, coef in x.items()}
     )
 
 

@@ -77,7 +77,8 @@ class SymbolLinComb(_TermSum):
 
     @staticmethod
     def _key(sym):
-        return (len(sym.labels), sym.labels, sym.exponents)
+        exponents, labels = sym  # a named field read costs more than this unpacking
+        return (len(labels), labels, exponents)
 
     @staticmethod
     def _json_term(sym):
@@ -86,7 +87,8 @@ class SymbolLinComb(_TermSum):
 
 def independent(a: ChenSymbol, b: ChenSymbol) -> bool:
     """The locality relation: label sets disjoint (the unit meets everything)."""
-    return not set(a.labels) & set(b.labels)
+    (_, left), (_, right) = a, b
+    return not set(left) & set(right)
 
 
 def make_independent(a: ChenSymbol, b: ChenSymbol) -> ChenSymbol:
@@ -104,11 +106,12 @@ def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
     defined on independent pairs, and a partial value would silently poison
     downstream fraction identities.
     """
-    if not independent(a, b):
-        shared = sorted(set(a.labels) & set(b.labels))
-        raise ValueError(f"symbols are not independent, shared labels {shared}")
+    (top, left), (bottom, right) = a, b
+    shared = set(left) & set(right)
+    if shared:
+        raise ValueError(f"symbols are not independent, shared labels {sorted(shared)}")
     # each term interleaves its rows; the result rows are valid by construction
-    raw = _product(sum(zip(a.exponents, a.labels), ()), sum(zip(b.exponents, b.labels), ()), 2)
+    raw = _product(sum(zip(top, left), ()), sum(zip(bottom, right), ()), 2)
     return SymbolLinComb._from_clean(
         {ChenSymbol._from_clean(t[0::2], t[1::2]): coef for t, coef in raw.items()}
     )

@@ -10,27 +10,32 @@ with a cumulative dynamic program: writing ``B_0(m) = 1`` and
 
 the truncated sum is ``B_k(N)``.  Level ``j`` depends on the composition only
 through its innermost suffix ``(s(k-j+1), ..., sk)``, so compositions that
-share a suffix share that level.  Every evaluation is a batch: the distinct
-suffixes of its compositions form a trie, and the sweep runs the trie level
-by level, level ``j`` as one 2-D block with a row per distinct suffix of
-length ``j``.  A row's terms are ``n**-s`` (from a table of the batch's
-distinct exponents) times its parent row shifted by one, formed in float64.
-A level is summed in one vectorised pass: each row in runs of ``_RUN``
-values in float64, and the run totals and the carry from the previous
-stretch in ``np.longdouble``, extended precision where the platform has it.
-Blocked summation like this keeps the error near ``(_RUN + N / _RUN) * eps``
-instead of ``N * eps`` (Higham, SIAM J. Sci. Comput. 1993).  The cost is
-O(distinct suffixes * N) instead of O(N**depth).
+share a suffix share that level.  Every evaluation is a batch, sorted by
+reversed entries: the distinct suffixes of its compositions form a trie, and
+the sweep runs the trie level by level, level ``j`` as one 2-D block with a
+row per distinct suffix of length ``j``.  In that order the longest suffix a
+composition shares with any earlier one is the one it shares with its
+predecessor, so one pass over those shared lengths plans the trie, with no
+dictionary of suffixes.  A row's terms are ``n**-s`` (from a table of the
+batch's distinct exponents) times its parent row shifted by one, formed in
+float64.  A level is summed in one vectorised pass: each row in runs of
+``_RUN`` values in float64, and the run totals and the carry from the
+previous stretch in ``np.longdouble``, extended precision where the platform
+has it.  Blocked summation like this keeps the error near ``(_RUN + N /
+_RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci. Comput. 1993).
+The cost is O(distinct suffixes * N) instead of O(N**depth).
 
 The sweep advances through ``n`` in stretches that end at every cutoff and
-span at most ``_PIECE`` values.  Each stretch takes the batch in chunks,
-sorted by reversed entries so that shared suffixes fall together, whose
-blocks hold at most ``_BLOCK_BYTES`` of float64 (a composition's own
-suffixes are never split, so one deep enough composition may exceed it).
-Memory therefore stays bounded whatever the batch size.  Each thread sweeps
-in a workspace of its own: one float64 buffer of ``(1 + powers + block
-rows) * stretch width`` that holds the values of ``n``, the power table and
-the block.  It grows to the largest stretch its thread has swept, is never
+span at most ``_PIECE`` values.  Each stretch takes the batch in chunks of
+consecutive compositions whose tries hold at most ``_BLOCK_BYTES`` of
+float64 rows (a composition's own suffixes are never split, so one deep
+enough composition may exceed it).  Memory therefore stays bounded whatever
+the batch size.  The chunks and their tries depend only on the stretch's
+width, so the same pass plans them once per width for all stretches of a
+sweep.  Each thread sweeps in a workspace of its own: one float64 buffer of
+``(1 + powers + block rows) * stretch width`` that holds the values of
+``n``, the power table and the block, with the row views the sweep reads
+through.  It grows to the largest stretch its thread has swept, is never
 shrunk and lives as long as the thread.  A row's terms are formed in place
 in the block, so once the workspace has grown a sweep allocates nothing the
 size of a stretch.  The floating-point operations and their order are those
@@ -115,60 +120,114 @@ class ZetaEstimate(_Record, namedtuple("ZetaEstimate", "value cutoff est_error c
     __slots__ = ()
 
 
-def _chunks(comps, budget):
-    """Split ``comps``, sorted by reversed entries, into chunks
-    ``comps[start:stop]`` whose tries have at most ``budget`` nodes; a
-    composition with more suffixes than that is a chunk of its own.  Yields
-    ``(start, stop)``."""
-    start, nodes = 0, set()
+def _plan(comps, budget, power_row):
+    """The chunks of ``comps``, sorted by reversed entries, and their tries,
+    for blocks of ``budget`` rows: a list of ``(start, stop, rows, trie)``.
+
+    In that order the longest suffix a composition shares with any earlier
+    one is the suffix it shares with its predecessor, so each composition
+    adds a node for every longer suffix of its own (all of them at the start
+    of a chunk).  A chunk takes compositions while its nodes number at most
+    ``budget``; one with more suffixes than that is a chunk of its own.  The
+    trie of ``comps[start:stop]`` is ``(suffixes, which, parent, bounds)``:
+    its nodes level by level, each level in the order of its compositions;
+    node ``i``'s terms are the table row ``which[i]``, ``n**-suffixes[i][0]``,
+    times the sums of node ``parent[i]`` above the first level; and the end
+    of each level.  ``rows[c]`` is the node of ``comps[start + c]`` itself.
+    """
+    shared, spans, start, size, prev = [], [], 0, 0, ()
     for i, comp in enumerate(comps):
-        suffixes = {comp[j:] for j in range(len(comp))}
-        if i > start and len(nodes) + len(suffixes - nodes) > budget:
-            yield start, i
-            start, nodes = i, set()
-        nodes |= suffixes
-    yield start, len(comps)
+        k = 0  # the length of the suffix shared with the predecessor
+        for a, b in zip(reversed(comp), reversed(prev)):
+            if a != b:
+                break
+            k += 1
+        size += len(comp) - k
+        if i > start and size > budget:
+            spans.append((start, i))
+            start, size, k = i, len(comp), 0
+        shared.append(k)
+        prev = comp
+    spans.append((start, len(comps)))
+    plan = []
+    for start, stop in spans:
+        height = max(map(len, comps[start:stop]))
+        change = [0] * (height + 2)  # a composition adds a node on levels shared + 1 to len
+        for i in range(start, stop):
+            change[shared[i] + 1] += 1
+            change[len(comps[i]) + 1] -= 1
+        free, bounds, total, level = [0], [], 0, 0  # free[j]: the next node of level j
+        for j in range(1, height + 1):
+            level += change[j]
+            free.append(total)
+            total += level
+            bounds.append(total)
+        suffixes, which, parent = [None] * total, [0] * total, [0] * total
+        path, rows = [0] * (height + 1), []  # path[j]: the node of the last suffix of length j
+        for i in range(start, stop):
+            comp = comps[i]
+            k = len(comp)
+            for j in range(shared[i] + 1, k + 1):
+                node = free[j]
+                free[j] = node + 1
+                suffixes[node] = comp[k - j :]
+                which[node] = power_row[-comp[k - j]]
+                parent[node] = path[j - 1]
+                path[j] = node
+            rows.append(path[k])
+        plan.append((start, stop, rows, (suffixes, which, parent, bounds)))
+    return plan
 
 
 def _workspace(first, count, width, powers, block):
     """This thread's workspace for the stretch of ``count`` values of ``n``
-    from ``first``, padded to ``width``: views ``(ms, table, sums)`` of one
-    float64 buffer.  ``ms`` holds the values of ``n`` (``first`` plus a
-    cached step vector), ``table`` has ``powers`` rows and ``sums`` ``block``
-    rows of ``width``.  The buffer grows to the largest size its thread has
+    from ``first``, padded to ``width``: views ``(ms, table, sums, shifted)``
+    of one float64 buffer.  ``ms`` holds the values of ``n`` (``first`` plus
+    a cached step vector), ``table`` has ``powers`` rows and ``sums``
+    ``block`` rows of ``width``, and ``shifted`` holds lists of row views: of
+    ``table`` and of ``sums`` from their second column on, and of ``sums`` up
+    to its last but one.  The buffer grows to the largest size its thread has
     asked for and is never shrunk; numpy releases the GIL inside ufuncs, so
-    threads must not share it.
+    threads must not share it.  The lists are cut from row views of the
+    buffer kept for each width, as many rows as asked for at that width so
+    far; they are dropped before the buffer grows, so a replaced buffer is
+    never kept alive.
     """
     import numpy as np
 
-    size = (1 + powers + block) * width
+    rows = 1 + powers + block
+    size = rows * width
     if len(getattr(_LOCAL, "buf", ())) < size:
+        _LOCAL.views = {}
         _LOCAL.buf = ()  # the old buffer is freed before the new one exists
         _LOCAL.buf = np.empty(size)
     if len(getattr(_LOCAL, "steps", ())) < count:
         _LOCAL.steps = np.arange(count, dtype=np.float64)
-    buf = _LOCAL.buf
-    ms = np.add(_LOCAL.steps[:count], first, out=buf[:count])
-    table = buf[width : (1 + powers) * width].reshape(powers, width)
-    return ms, table, buf[(1 + powers) * width : size].reshape(block, width)
+    whole = _LOCAL.buf[:size].reshape(rows, width)
+    views = _LOCAL.views.get(width)
+    if views is None or len(views[0]) < rows:
+        views = _LOCAL.views[width] = list(whole[:, 1:]), list(whole[:, :-1])
+    after, before = views
+    ms = np.add(_LOCAL.steps[:count], first, out=whole[0, :count])
+    shifted = after[1 : 1 + powers], after[1 + powers : rows], before[1 + powers : rows]
+    return ms, whole[1 : 1 + powers], whole[1 + powers :], shifted
 
 
-def _sweep_trie(comps, table, power_row, carries, sums, shifted):
-    """Sweep the suffix trie of ``comps`` over a stretch of ``n``.
+def _sweep_trie(trie, table, carries, sums, shifted):
+    """Sweep ``trie``, a chunk's ``(suffixes, which, parent, bounds)`` from
+    ``_plan``, over a stretch of ``n``.
 
-    Row ``power_row[p]`` of ``table`` holds ``n**p`` over the stretch, and
-    ``carries`` maps a suffix to its level's sum just below the stretch
-    (absent means zero, as at ``n = 1``).  Each suffix gets a row of ``sums``,
-    ordered by level so that a parent's row is done before its children's,
-    and the row receives the suffix's float64 partial sums over the stretch.
-    ``shifted`` holds lists of row views: of ``table`` and of ``sums`` from
-    their second column on, and of ``sums`` up to its last but one.
-    Returns ``(nodes, ends)``: ``nodes`` maps each suffix to its row, and
-    ``ends`` holds each row's last sum in extended precision.  The stretch is
-    a whole number of runs of ``_RUN`` values.  Terms and each run's running
-    sums are float64; only the prefix sums of the run totals and the carries
-    are ``np.longdouble``, and each run gets its preceding total back as
-    float64.  Every operation acts along one row.
+    Row ``which[i]`` of ``table`` holds node ``i``'s power of ``n`` over the
+    stretch, and ``carries`` maps a suffix to its level's sum just below the
+    stretch (absent means zero, as at ``n = 1``).  Node ``i`` gets row ``i``
+    of ``sums``, where its float64 partial sums over the stretch go; a
+    parent's row comes before its children's.  ``shifted`` holds the row
+    views of ``_workspace``.  Returns ``ends``, each row's last sum in
+    extended precision.  The stretch is a whole number of runs of ``_RUN``
+    values.  Terms and each run's running sums are float64; only the prefix
+    sums of the run totals and the carries are ``np.longdouble``, and each
+    run gets its preceding total back as float64.  Every operation acts
+    along one row.
 
     Nothing the size of a row is allocated: a first-level row is summed
     straight from its table row, and a row above it is formed in place from
@@ -176,19 +235,14 @@ def _sweep_trie(comps, table, power_row, carries, sums, shifted):
     """
     import numpy as np
 
-    nodes, bounds = {}, []
-    for j in range(1, max(map(len, comps)) + 1):
-        for comp in comps:
-            if len(comp) >= j:
-                nodes.setdefault(comp[len(comp) - j:], len(nodes))
-        bounds.append(len(nodes))
-    suffixes = list(nodes)
-    which = [power_row[-s[0]] for s in suffixes]  # a row's terms are n**-s[0]
-    parent = [nodes.get(s[1:], 0) for s in suffixes]
-    starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
-    below = starts.astype(np.float64)  # the carries, B(n - 1) at the first n, in float64
+    suffixes, which, parent, bounds = trie
+    if carries:
+        starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
+        below = starts.astype(np.float64)  # the carries, B(n - 1) at the first n, in float64
+    else:  # all zero at n = 1
+        below = np.zeros(len(suffixes))
     firsts = table[which, 0] * below[parent]  # used above the first level only
-    ends = np.empty_like(starts)
+    ends = np.empty(len(suffixes), dtype=np.longdouble)
     terms, after, before = shifted
     lo = 0
     for hi in bounds:
@@ -203,13 +257,13 @@ def _sweep_trie(comps, table, power_row, carries, sums, shifted):
             for w, row in zip(which[:hi], runs):
                 np.add.accumulate(table[w].reshape(-1, _RUN), axis=1, out=row)
         totals = np.add.accumulate(runs[:, :, -1], axis=1, dtype=np.longdouble)
-        if carries:  # all zero at n = 1
+        if carries:
             totals += starts[lo:hi, None]
             runs[:, 0] += below[lo:hi, None]
         ends[lo:hi] = totals[:, -1]
         runs[:, 1:] += totals[:, :-1, None].astype(np.float64)
         lo = hi
-    return nodes, ends
+    return ends
 
 
 def _advance(comps, pos, target, carries, grid, out):
@@ -219,15 +273,19 @@ def _advance(comps, pos, target, carries, grid, out):
     (empty at ``pos = 0``).  The partial sums of ``comps[i]`` at the points of
     ``grid`` in ``(pos, target]`` go to the same columns of ``out[i]``.
     Returns the carries at ``target``.  Stretches of ``n`` end at ``target``
-    and at every ``_PIECE``-th value after ``pos``, whatever the batch.  Each
-    stretch works in this thread's workspace (see ``_workspace``), so a sweep
-    allocates nothing the size of a stretch once the workspace has grown.
-    ``ValueError`` names any composition whose sums in ``out`` are not finite.
+    and at every ``_PIECE``-th value after ``pos``, whatever the batch.  The
+    chunks and tries of a stretch depend only on its width, so each width's
+    ``_plan`` is built once per call.  Each stretch works in this thread's
+    workspace (see ``_workspace``), so a sweep allocates nothing the size of
+    a stretch once the workspace has grown.  ``ValueError`` names any
+    composition whose sums in ``out`` are not finite.
     """
     import numpy as np
 
     powers = sorted({-e for comp in comps for e in comp})
     power_row = {power: i for i, power in enumerate(powers)}
+    longest, entries = max(map(len, comps)), sum(map(len, comps))
+    plans = {}
     # n**p may overflow and inf * 0 give nan; such sums are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(pos + 1, target + 1, _PIECE):
@@ -236,20 +294,19 @@ def _advance(comps, pos, target, carries, grid, out):
             cols = grid[lo:hi] - first
             width = -(-count // _RUN) * _RUN  # zero terms pad a whole number of runs
             budget = max(1, _BLOCK_BYTES // (8 * width))
+            if budget not in plans:
+                plans[budget] = _plan(comps, budget, power_row)
             # one block serves every chunk: a chunk has at most budget rows, or
             # one composition's, and never more than the batch's entries
-            block = min(max(budget, max(map(len, comps))), sum(map(len, comps)))
-            ms, table, sums = _workspace(first, count, width, len(powers), block)
+            block = min(max(budget, longest), entries)
+            ms, table, sums, shifted = _workspace(first, count, width, len(powers), block)
             table[:, count:] = 0
             for i, power in enumerate(powers):
                 np.power(ms, power, out=table[i, :count])
-            shifted = list(table[:, 1:]), list(sums[:, 1:]), list(sums[:, :-1])
             swept = {}
-            for start, stop in _chunks(comps, budget):
-                chunk = comps[start:stop]
-                nodes, ends = _sweep_trie(chunk, table, power_row, carries, sums, shifted)
-                swept.update(zip(nodes, ends))
-                out[start:stop, lo:hi] = sums[:, cols][[nodes[comp] for comp in chunk]]
+            for start, stop, rows, trie in plans[budget]:
+                swept.update(zip(trie[0], _sweep_trie(trie, table, carries, sums, shifted)))
+                out[start:stop, lo:hi] = sums[:, cols][rows]
             carries = swept
     bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
     if bad:

@@ -5,13 +5,30 @@ terms in place in a reused workspace.  Every stretch allocates a fresh power
 table and block, and every level gathers its table rows and its parents'
 shifted sums into row-sized temporaries.  It performs the same float64 and
 long-double operations in the same order as the package's sweep, so the two
-must agree bit for bit.  The chunking and the constants are the package's,
-which the two sweeps share by design.
+must agree bit for bit.  The chunking is the set-based one the package
+used before it planned each batch from the shared suffixes of its sorted
+compositions, so the package's chunk boundaries are checked against it; the
+constants are the package's, which the two sweeps share by design.
 """
 
 import numpy as np
 
-from extshuffle.zeta import _BLOCK_BYTES, _PIECE, _RUN, _chunks
+from extshuffle.zeta import _BLOCK_BYTES, _PIECE, _RUN
+
+
+def reference_chunks(comps, budget):
+    """Split ``comps``, sorted by reversed entries, into chunks
+    ``comps[start:stop]`` whose tries have at most ``budget`` nodes; a
+    composition with more suffixes than that is a chunk of its own.  Yields
+    ``(start, stop)``."""
+    start, nodes = 0, set()
+    for i, comp in enumerate(comps):
+        suffixes = {comp[j:] for j in range(len(comp))}
+        if i > start and len(nodes) + len(suffixes - nodes) > budget:
+            yield start, i
+            start, nodes = i, set()
+        nodes |= suffixes
+    yield start, len(comps)
 
 
 def reference_sweep_trie(comps, table, power_row, carries, sums):
@@ -68,7 +85,7 @@ def reference_advance(comps, pos, target, carries, grid, out):
             budget = max(1, _BLOCK_BYTES // (8 * width))
             sums = np.empty((max(budget, max(map(len, comps))), width))
             swept = {}
-            for start, stop in _chunks(comps, budget):
+            for start, stop in reference_chunks(comps, budget):
                 chunk = comps[start:stop]
                 nodes, ends = reference_sweep_trie(chunk, table, power_row, carries, sums)
                 swept.update(zip(nodes, ends))

@@ -20,6 +20,7 @@ from extshuffle import (
     LinComb,
     RelationScan,
     ZetaEstimate,
+    fraction_product,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -130,6 +131,19 @@ def test_from_clean_equals_the_checked_constructor():
         checked = ChenSymbol(exponents, labels)
         assert clean == checked and hash(clean) == hash(checked)
         assert type(clean) is ChenSymbol and repr(clean) == repr(checked)
+
+
+def test_fraction_from_clean_equals_the_checked_constructor():
+    for exponents, indices in [((), ()), ((2, -1), (1, 3)), ((0, 0, 5), (4, 2, 9))]:
+        clean = ChenFraction._from_clean(exponents, indices)
+        checked = ChenFraction(exponents, indices)
+        assert clean == checked and hash(clean) == hash(checked)
+        assert type(clean) is ChenFraction and repr(clean) == repr(checked)
+    product = fraction_product(ChenFraction((2, -1), (1, 2)), ChenFraction((1,), (3,)))
+    for frac in product.support():
+        checked = ChenFraction(*frac)
+        assert type(frac) is ChenFraction and repr(frac) == repr(checked)
+        assert hash(frac) == hash(checked)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-"""The series sweep against its gather-based reference, bit for bit, and its
-workspace: no stretch-sized allocation once warm, and no sharing between
-threads."""
+"""The series sweep against its gather-based reference, bit for bit, its
+plan of chunks and tries against the set-based chunking, and its workspace:
+no stretch-sized allocation once warm, and no sharing between threads."""
 
 import sys
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from extshuffle import ext_shuffle, zeta_truncated
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _advance, _evaluate, _grid
-from reference_sweep import reference_advance
+from extshuffle.zeta import _advance, _evaluate, _grid, _plan, _workspace
+from reference_sweep import reference_advance, reference_chunks
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
 
@@ -31,6 +32,19 @@ PAIRS = [((2, 1), (3, 0, 2)), ((3, 0, 1), (2, 1)), ((2, 1), (3, 1))]
 PRODUCTS = sorted({comp for a, b in PAIRS for comp in ext_shuffle(a, b).support()})
 
 convergent = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(tuple).filter(is_convergent)
+
+small = st.lists(st.integers(-1, 4), min_size=1, max_size=6).map(tuple).filter(is_convergent)
+
+
+def with_shared_suffixes(comps):
+    """``comps`` and their convergent variants with a head of 2 or 3 on a
+    proper suffix, sorted by reversed entries: at most 60 of them."""
+    more = {(h,) + c[i:] for c in comps for h in (2, 3) for i in range(1, len(c))}
+    batch = set(comps) | {c for c in more if is_convergent(c)}
+    return sorted(batch, key=lambda c: c[::-1])[:60]
+
+
+sorted_batches = st.lists(small, min_size=1, max_size=20).map(with_shared_suffixes)
 
 
 def reference_truncated(comp, cutoff):
@@ -120,6 +134,22 @@ def test_a_warm_sweep_allocates_nothing_the_size_of_a_stretch():
     assert peak < 256 * 1024, peak  # one stretch row alone is 512 KiB
 
 
+def test_a_grown_workspace_keeps_nothing_of_its_old_buffer():
+    # the row views kept with the buffer must not keep a replaced buffer alive
+    freed = []
+
+    def grow():  # in a thread of its own, whose workspace starts empty
+        _workspace(1, 256, 256, 2, 2)
+        old = weakref.ref(ZETA_MODULE._LOCAL.buf)
+        _, _, sums, _ = _workspace(1, 512, 512, 2, 8)  # another width
+        freed.append(old() is None and sums.shape == (8, 512))
+
+    thread = threading.Thread(target=grow)
+    thread.start()
+    thread.join(timeout=60)
+    assert freed == [True]
+
+
 def test_threads_sweep_in_their_own_workspaces():
     # numpy releases the GIL inside ufuncs, so a workspace shared between
     # threads would mix their rows
@@ -157,3 +187,39 @@ def test_threads_sweep_in_their_own_workspaces():
         sys.setswitchinterval(interval)
     for slot, runs in enumerate(results):
         assert runs == [serial[slot]] * 3, work[slot][0]
+
+
+@settings(max_examples=60)
+@given(sorted_batches, st.sampled_from([1, 4, 16, 64, 256]))
+def test_plan_chunks_and_tries_hold_their_suffixes(comps, budget):
+    power_row = {-e: e + 1 for e in range(-1, 5)}
+    plan = _plan(comps, budget, power_row)
+    assert [(start, stop) for start, stop, _, _ in plan] == list(reference_chunks(comps, budget))
+    for start, stop, rows, (suffixes, which, parent, bounds) in plan:
+        chunk = comps[start:stop]
+        height = max(map(len, chunk))
+        assert len(set(suffixes)) == len(suffixes)
+        assert set(suffixes) == {c[j:] for c in chunk for j in range(len(c))}
+        # level by level, each level in the order its suffixes first appear in the chunk
+        levels = (c[len(c) - j :] for j in range(1, height + 1) for c in chunk if len(c) >= j)
+        assert suffixes == list(dict.fromkeys(levels))
+        assert bounds == [sum(len(s) <= j for s in suffixes) for j in range(1, height + 1)]
+        for suffix, w, p in zip(suffixes, which, parent):
+            assert w == power_row[-suffix[0]]
+            if len(suffix) > 1:
+                assert suffixes[p] == suffix[1:]
+        assert [suffixes[r] for r in rows] == chunk
+
+
+def test_a_three_stretch_sweep_builds_at_most_two_plans(monkeypatch):
+    # two stretches of 2**16 values share one plan; the last, of 5 values, has its own
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _plan(*args)
+
+    monkeypatch.setattr(ZETA_MODULE, "_plan", counted)
+    cutoff = 2 * 2**16 + 5
+    assert zeta_truncated((3, 1, 2), cutoff).hex() == reference_truncated((3, 1, 2), cutoff).hex()
+    assert 1 <= len(calls) <= 2 and len(set(calls)) == len(calls)
