@@ -6,7 +6,8 @@ formal sum of compositions with exact rational coefficients (``int`` or
 ``fractions.Fraction``; floats are rejected so every identity stays exact).
 
 The first-entry shift operators ``op_I`` and ``op_J`` are mutually inverse
-on terms of positive depth; ``op_J`` kills the unit.
+on terms of positive depth; ``op_J`` kills the unit.  ``_shift`` is the one
+first-entry shift of every layer.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class _TermSum:
 
     __slots__ = ("_terms",)
 
-    _term_str = staticmethod(str)  # each subclass gives _key, a term's sort key
+    _term_str = staticmethod(str)  # each subclass gives _key, a term's sort key, and _shifted
 
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()
@@ -238,6 +239,10 @@ class LinComb(_TermSum):
     def _json_term(term):
         return {"comp": list(term)}
 
+    @staticmethod
+    def _shifted(term, delta):
+        return (term[0] + delta,) + term[1:] if term else None
+
     @classmethod
     def from_json_dict(cls, data) -> "LinComb":
         return cls(
@@ -246,24 +251,29 @@ class LinComb(_TermSum):
         )
 
 
+def _shift(x, delta, message=None):
+    """Add ``delta`` to each term's first entry through the class's ``_shifted``,
+    which gives ``None`` for the unit: a decrement drops that term, an increment
+    raises ``ValueError(message)``.  The shift is one-to-one, so nothing merges."""
+    out = {}
+    for term, coef in x.items():
+        new = x._shifted(term, delta)
+        if new is not None:
+            out[new] = coef
+        elif delta > 0:
+            raise ValueError(message)
+    return x._from_clean(out)
+
+
 def op_I(x: LinComb) -> LinComb:
     """Increment the first entry of every term; undefined on the unit.
 
     ``op_I`` and ``op_J`` are mutually inverse on positive depth only, so a
     unit term is an error here rather than a silent skip.
     """
-    out = {}
-    for comp, coef in x.items():
-        if not comp:
-            raise ValueError("first-entry increment is undefined on the unit term")
-        out[(comp[0] + 1,) + comp[1:]] = coef
-    return LinComb._from_clean(out)
+    return _shift(x, 1, "first-entry increment is undefined on the unit term")
 
 
 def op_J(x: LinComb) -> LinComb:
     """Decrement the first entry of every term; the unit maps to zero."""
-    out = {}
-    for comp, coef in x.items():
-        if comp:
-            out[(comp[0] - 1,) + comp[1:]] = coef
-    return LinComb._from_clean(out)
+    return _shift(x, -1)

@@ -2,7 +2,9 @@
 
 ``ChenFraction((s1,...,sk), (i1,...,ik))`` denotes the product over j of
 ``(x_{i_j} + x_{i_{j+1}} + ... + x_{i_k}) ** (-s_j)``.  Negative exponents
-are allowed, so a "fraction" may in fact be a polynomial.
+are allowed, so a "fraction" may in fact be a polynomial.  A fraction has the two
+rows of the Chen symbol it sums, so it shares the symbols' two-row bases and
+first-exponent shift (:mod:`extshuffle.symbols`).
 
 Formal terms are *not* linearly independent as functions (the exponent-zero
 fraction in any single variable is the constant 1), so equality of
@@ -24,8 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .algebra import _Record, _TermSum, format_composition
-from .symbols import ChenSymbol, SymbolLinComb, _check_rows, symbol_product
+from .symbols import ChenSymbol, SymbolLinComb, _check_rows, _Rows, _RowsSum, symbol_product
 
 
 class VanishingDenominatorError(ArithmeticError):
@@ -37,29 +38,14 @@ class VanishingDenominatorError(ArithmeticError):
         super().__init__(f"denominator {form} vanishes at the evaluation point")
 
 
-class ChenFraction(_Record, namedtuple("ChenFraction", "exponents var_indices")):
+class ChenFraction(_Rows, namedtuple("ChenFraction", "exponents var_indices")):
     """One generalized Chen fraction; the unit (both rows empty) is the constant 1."""
 
     __slots__ = ()
+    _frame = "f({};{})"
 
     def __new__(cls, exponents, var_indices):
         return tuple.__new__(cls, _check_rows(exponents, var_indices, "variable indices"))
-
-    @classmethod
-    def _from_clean(cls, exponents, var_indices):
-        # Internal fast path: the rows must already be valid tuples.
-        return tuple.__new__(cls, (exponents, var_indices))
-
-    @property
-    def depth(self) -> int:
-        return len(self.exponents)
-
-    def __str__(self):
-        if not self.exponents:
-            return "1"
-        top = format_composition(self.exponents)
-        bottom = format_composition(self.var_indices)
-        return f"f({top};{bottom})"
 
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         """Exact value at a rational point assigning every variable index."""
@@ -92,17 +78,10 @@ class ChenFraction(_Record, namedtuple("ChenFraction", "exponents var_indices"))
 FRACTION_UNIT = ChenFraction((), ())
 
 
-class FractionLinComb(_TermSum):
+class FractionLinComb(_RowsSum):
     """Finite rational sum of Chen fractions (formal terms, see module note)."""
 
-    @staticmethod
-    def _key(frac):
-        exponents, indices = frac  # a named field read costs more than this unpacking
-        return (len(indices), indices, exponents)
-
-    @staticmethod
-    def _json_term(frac):
-        return {"comp": list(frac.exponents), "var_indices": list(frac.var_indices)}
+    _bottom = "var_indices"
 
 
 def F_map(x: SymbolLinComb) -> FractionLinComb:
@@ -131,10 +110,7 @@ def variables(x) -> tuple:
     """Sorted variable indices appearing in a fraction or combination."""
     if isinstance(x, ChenFraction):
         return tuple(sorted(x.var_indices))
-    out: set = set()
-    for frac in x.support():
-        out.update(frac.var_indices)
-    return tuple(sorted(out))
+    return tuple(sorted({i for (_, indices), _ in x.items() for i in indices}))
 
 
 def mult_by_linear(x: ChenFraction, direction: str) -> ChenFraction:
@@ -145,13 +121,9 @@ def mult_by_linear(x: ChenFraction, direction: str) -> ChenFraction:
     """
     if not x.depth:
         raise ValueError("the unit fraction has no leading linear form")
-    if direction == "down":
-        delta = -1
-    elif direction == "up":
-        delta = +1
-    else:
+    if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    return ChenFraction((x.exponents[0] + delta,) + x.exponents[1:], x.var_indices)
+    return FractionLinComb._shifted(x, -1 if direction == "down" else 1)
 
 
 def fraction_product(a: ChenFraction, b: ChenFraction) -> FractionLinComb:
@@ -163,10 +135,8 @@ def fraction_product(a: ChenFraction, b: ChenFraction) -> FractionLinComb:
     shared = set(a.var_indices) & set(b.var_indices)
     if shared:
         raise ValueError(f"fractions share variable indices {sorted(shared)}")
-    lifted = symbol_product(
-        ChenSymbol(a.exponents, a.var_indices), ChenSymbol(b.exponents, b.var_indices)
-    )
-    return F_map(lifted)
+    # the rows are valid symbol rows
+    return F_map(symbol_product(ChenSymbol._from_clean(*a), ChenSymbol._from_clean(*b)))
 
 
 def evaluation_panel(indices: Iterable[int], *, count: int = 8, seed: int = 0) -> list:

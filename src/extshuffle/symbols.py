@@ -12,7 +12,9 @@ positive ones), which descend by depth only, and each zero peeled off a
 factor keeps that factor's first label.  So every result term's label row is
 a shuffle of the two input label rows, and dropping the label rows projects
 back onto the composition algebra.  Those rows are valid by construction,
-so the result symbols skip the checks of the public constructor.
+so the result symbols skip the checks of the public constructor.  Symbols share
+the record base ``_Rows`` and the sum base ``_RowsSum`` with the Chen fractions
+of :mod:`extshuffle.chenfrac`; ``opS_I`` and ``opS_J`` are ``algebra._shift``.
 
 Basis products share the engine's one memo, keyed by term and stride, and its
 contract: values are immutable and the cache tolerates concurrent use.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import LinComb, _Record, _TermSum, _merge, composition, format_composition
+from .algebra import LinComb, _Record, _TermSum, _merge, _shift, composition, format_composition
 from .shuffle import _product
 
 
@@ -44,45 +46,65 @@ def _check_rows(exponents, indices, name):
     return exponents, indices
 
 
-class ChenSymbol(_Record, namedtuple("ChenSymbol", "exponents labels")):
-    """Two-row basis symbol; the unit has both rows empty."""
+class _Rows(_Record):
+    """Base of the two-row records; a subclass gives its named-tuple fields, a
+    ``__new__`` that checks the rows and the ``_frame`` its ``str`` fills."""
 
     __slots__ = ()
 
-    def __new__(cls, exponents, labels):
-        return tuple.__new__(cls, _check_rows(exponents, labels, "labels"))
-
     @classmethod
-    def _from_clean(cls, exponents, labels):
+    def _from_clean(cls, exponents, bottom):
         # Internal fast path: the rows must already be valid tuples.
-        return tuple.__new__(cls, (exponents, labels))
+        return tuple.__new__(cls, (exponents, bottom))
 
     @property
     def depth(self) -> int:
         return len(self.exponents)
 
     def __str__(self):
-        if not self.exponents:
+        exponents, bottom = self
+        if not exponents:
             return "1"
-        top = format_composition(self.exponents)
-        bottom = format_composition(self.labels)
-        return f"<{top};{bottom}>"
+        return self._frame.format(format_composition(exponents), format_composition(bottom))
+
+
+class ChenSymbol(_Rows, namedtuple("ChenSymbol", "exponents labels")):
+    """Two-row basis symbol; the unit has both rows empty."""
+
+    __slots__ = ()
+    _frame = "<{};{}>"
+
+    def __new__(cls, exponents, labels):
+        return tuple.__new__(cls, _check_rows(exponents, labels, "labels"))
 
 
 SYMBOL_UNIT = ChenSymbol((), ())
 
 
-class SymbolLinComb(_TermSum):
+class _RowsSum(_TermSum):
+    """Base of the sums of two-row records; ``_bottom`` is the bottom row's JSON name."""
+
+    @staticmethod
+    def _key(term):
+        exponents, bottom = term  # a named field read costs more than this unpacking
+        return (len(bottom), bottom, exponents)
+
+    def _json_term(self, term):
+        exponents, bottom = term
+        return {"comp": list(exponents), self._bottom: list(bottom)}
+
+    @staticmethod
+    def _shifted(term, delta):
+        exponents, bottom = term
+        if not exponents:
+            return None
+        return term._from_clean((exponents[0] + delta,) + exponents[1:], bottom)
+
+
+class SymbolLinComb(_RowsSum):
     """Finite rational sum of Chen symbols, ordered by (labels, exponents)."""
 
-    @staticmethod
-    def _key(sym):
-        exponents, labels = sym  # a named field read costs more than this unpacking
-        return (len(labels), labels, exponents)
-
-    @staticmethod
-    def _json_term(sym):
-        return {"comp": list(sym.exponents), "labels": list(sym.labels)}
+    _bottom = "labels"
 
 
 def independent(a: ChenSymbol, b: ChenSymbol) -> bool:
@@ -119,21 +141,12 @@ def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
 
 def opS_I(x: SymbolLinComb) -> SymbolLinComb:
     """Increment each term's first exponent; undefined on the unit symbol."""
-    out = {}
-    for sym, coef in x.items():
-        if not sym.depth:
-            raise ValueError("first-exponent increment is undefined on the unit symbol")
-        out[ChenSymbol((sym.exponents[0] + 1,) + sym.exponents[1:], sym.labels)] = coef
-    return SymbolLinComb._from_clean(out)
+    return _shift(x, 1, "first-exponent increment is undefined on the unit symbol")
 
 
 def opS_J(x: SymbolLinComb) -> SymbolLinComb:
     """Decrement each term's first exponent; the unit symbol maps to zero."""
-    out = {}
-    for sym, coef in x.items():
-        if sym.depth:
-            out[ChenSymbol((sym.exponents[0] - 1,) + sym.exponents[1:], sym.labels)] = coef
-    return SymbolLinComb._from_clean(out)
+    return _shift(x, -1)
 
 
 def phi_project(x: SymbolLinComb) -> LinComb:

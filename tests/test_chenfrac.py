@@ -10,6 +10,8 @@ from extshuffle import (
     FRACTION_UNIT,
     F_map,
     FractionLinComb,
+    LinComb,
+    SYMBOL_UNIT,
     SymbolLinComb,
     VanishingDenominatorError,
     equal_on_panel,
@@ -17,7 +19,11 @@ from extshuffle import (
     evaluation_panel,
     fraction_product,
     mult_by_linear,
+    op_I,
+    op_J,
+    opS_I,
     opS_J,
+    phi_project,
     symbol_product,
     variables,
 )
@@ -130,11 +136,75 @@ def test_symbol_J_is_multiplication_by_full_linear_form(pair):
         assert evaluate(F_map(opS_J(x)), point) == linear * evaluate(F_map(x), point)
 
 
-def test_variables():
+@given(st.lists(symbol_pairs(), max_size=3))
+def test_variables(pairs):
     frac = ChenFraction((1, 2), (5, 3))
     assert variables(frac) == (3, 5)
     combo = FractionLinComb.basis(frac) + FractionLinComb.basis(ChenFraction((1,), (8,)))
     assert variables(combo) == (3, 5, 8)
+    # the sorted union of the term rows, on a single fraction as on its basis sum
+    x = FractionLinComb((ChenFraction(*sym), 1) for pair in pairs for sym in pair)
+    assert variables(x) == tuple(sorted({i for f in x.support() for i in f.var_indices}))
+    for frac in x.support():
+        assert variables(frac) == variables(FractionLinComb.basis(frac))
+
+
+@st.composite
+def symbol_combinations(draw):
+    """Up to six symbols of positive depth with nonzero coefficients, plus the unit."""
+    coefs = st.integers(-3, 3).filter(bool)
+    pairs = draw(st.lists(symbol_pairs(), max_size=3))
+    terms = [(sym, draw(coefs)) for pair in pairs for sym in pair if sym.depth]
+    return SymbolLinComb(terms) + SymbolLinComb.basis(SYMBOL_UNIT, draw(coefs))
+
+
+@given(symbol_combinations())
+def test_the_first_entry_shift_is_one_rule_on_every_layer(x):
+    assert phi_project(opS_J(x)) == op_J(phi_project(x))
+    positive = x - SymbolLinComb.basis(SYMBOL_UNIT, x.coefficient(SYMBOL_UNIT))
+    assert phi_project(opS_I(positive)) == op_I(phi_project(positive))
+    for sym, _ in x.items():
+        term = SymbolLinComb.basis(sym)
+        if not sym.depth:
+            assert opS_J(term) == SymbolLinComb.zero()
+            continue
+        frac = ChenFraction(*sym)
+        assert F_map(opS_J(term)) == FractionLinComb.basis(mult_by_linear(frac, "down"))
+        assert F_map(opS_I(term)) == FractionLinComb.basis(mult_by_linear(frac, "up"))
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        (lambda: op_I(LinComb.basis(())), "first-entry increment is undefined on the unit term"),
+        (
+            lambda: op_I(LinComb.basis((2,)) + LinComb.basis(())),
+            "first-entry increment is undefined on the unit term",
+        ),
+        (
+            lambda: opS_I(SymbolLinComb({ChenSymbol((1,), (1,)): 1, SYMBOL_UNIT: 2})),
+            "first-exponent increment is undefined on the unit symbol",
+        ),
+        (
+            lambda: mult_by_linear(FRACTION_UNIT, "down"),
+            "the unit fraction has no leading linear form",
+        ),
+        # the unit is checked before the direction
+        (
+            lambda: mult_by_linear(FRACTION_UNIT, "sideways"),
+            "the unit fraction has no leading linear form",
+        ),
+        (
+            lambda: mult_by_linear(ChenFraction((1,), (1,)), "sideways"),
+            "direction must be 'down' or 'up', got 'sideways'",
+        ),
+    ],
+    ids=["op_I-unit", "op_I-unit-among-terms", "opS_I", "down", "sideways-unit", "sideways"],
+)
+def test_the_shift_messages(shift, message):
+    with pytest.raises(ValueError) as err:
+        shift()
+    assert str(err.value) == message
 
 
 def test_panel_is_deterministic_and_positive():

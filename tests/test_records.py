@@ -7,6 +7,8 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,14 @@ from extshuffle import (
     ChenFraction,
     ChenSymbol,
     DoubleShuffleRelation,
+    FractionLinComb,
     HomomorphismReport,
     LinComb,
     RelationScan,
+    SymbolLinComb,
     ZetaEstimate,
     fraction_product,
+    symbol_product,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -125,25 +130,89 @@ def test_fields_cannot_be_assigned(record, _):
         record.extra = 1
 
 
-def test_from_clean_equals_the_checked_constructor():
-    for exponents, labels in [((), ()), ((2, -1), (1, 3)), ((0, 0, 5), (4, 2, 9))]:
-        clean = ChenSymbol._from_clean(exponents, labels)
-        checked = ChenSymbol(exponents, labels)
-        assert clean == checked and hash(clean) == hash(checked)
-        assert type(clean) is ChenSymbol and repr(clean) == repr(checked)
+# the two-row records, each with its sum, product, bottom row names and one example
+_TwoRows = namedtuple("_TwoRows", "cls sum_cls product field name record text")
+_TWO_ROWS = [
+    _TwoRows(
+        ChenSymbol, SymbolLinComb, symbol_product, "labels", "labels",
+        ChenSymbol((2, -1), (1, 3)), "<[2,-1];[1,3]>",
+    ),
+    _TwoRows(
+        ChenFraction, FractionLinComb, fraction_product, "var_indices", "variable indices",
+        ChenFraction((1, 0), (2, 1)), "f([1,0];[2,1])",
+    ),
+]
+two_rows = pytest.mark.parametrize("rows", _TWO_ROWS, ids=lambda rows: rows.cls.__name__)
 
 
-def test_fraction_from_clean_equals_the_checked_constructor():
-    for exponents, indices in [((), ()), ((2, -1), (1, 3)), ((0, 0, 5), (4, 2, 9))]:
-        clean = ChenFraction._from_clean(exponents, indices)
-        checked = ChenFraction(exponents, indices)
+@two_rows
+def test_from_clean_equals_the_checked_constructor(rows):
+    cls = rows.cls
+    for exponents, bottom in [((), ()), ((2, -1), (1, 3)), ((0, 0, 5), (4, 2, 9))]:
+        clean = cls._from_clean(exponents, bottom)
+        checked = cls(exponents, bottom)
         assert clean == checked and hash(clean) == hash(checked)
-        assert type(clean) is ChenFraction and repr(clean) == repr(checked)
-    product = fraction_product(ChenFraction((2, -1), (1, 2)), ChenFraction((1,), (3,)))
-    for frac in product.support():
-        checked = ChenFraction(*frac)
-        assert type(frac) is ChenFraction and repr(frac) == repr(checked)
-        assert hash(frac) == hash(checked)
+        assert type(clean) is cls and repr(clean) == repr(checked)
+    product = rows.product(cls((2, -1), (1, 2)), cls((1,), (3,)))
+    for term in product.support():
+        checked = cls(*term)
+        assert type(term) is cls and repr(term) == repr(checked)
+        assert hash(term) == hash(checked)
+
+
+@two_rows
+def test_str_puts_both_rows_in_the_class_frame(rows):
+    assert str(rows.cls((), ())) == "1"
+    assert str(rows.record) == rows.text
+
+
+@two_rows
+def test_depth_is_the_row_length(rows):
+    assert rows.cls((), ()).depth == 0
+    assert rows.cls((-4,), (7,)).depth == 1
+    assert rows.record.depth == 2
+
+
+@two_rows
+def test_row_check_messages_name_the_bottom_row(rows):
+    name = rows.name
+    for bottom, message in [
+        ((1,), f"rows must have equal length: 2 exponents vs 1 {name}"),
+        ((0, 2), f"{name} must be positive integers, got 0"),
+        ((1, True), f"{name} must be positive integers, got True"),
+        ((2, 2), f"{name} must be pairwise distinct, got (2, 2)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            rows.cls((1, 2), bottom)
+        assert str(err.value) == message
+
+
+@two_rows
+def test_json_names_the_bottom_row_by_its_field(rows):
+    exponents, bottom = rows.record
+    assert rows.sum_cls.basis(rows.record, Fraction(-1, 2)).to_json_dict() == {
+        "terms": [{"coef": "-1/2", "comp": list(exponents), rows.field: list(bottom)}]
+    }
+
+
+@two_rows
+def test_terms_are_ordered_by_bottom_length_then_bottom_then_top(rows):
+    ordered = [
+        rows.cls(*row)
+        for row in [
+            ((), ()),
+            ((3,), (1,)),
+            ((1,), (2,)),
+            ((4,), (5,)),
+            ((0, 5), (1, 2)),
+            ((1, 2), (1, 2)),
+            ((1, 1), (2, 1)),
+            ((-1, 0, 0), (1, 2, 3)),
+        ]
+    ]
+    combination = rows.sum_cls({term: 1 for term in reversed(ordered)})
+    assert combination.support() == ordered
+    assert [term for term, _ in combination.terms()] == ordered
 
 
 @pytest.mark.parametrize(
