@@ -36,11 +36,13 @@ Rota-Baxter shape each fold into binomial sums over the leading entries:
 The product is not commutative, so the ``t1 < 0`` sums are not the
 ``s1 < 0`` sum with the factors swapped.
 
-Termination: every case recurses only on pairs whose depth sum is one less,
-so the recursion descends by depth only.  Its depth is bounded by the depth
-sum whatever the size of the entries, and each sum visits a number of pairs
-linear in the leading entries.  Every result term has depth equal to the sum
-of the factors' depths, and the restriction to compositions with all
+Termination: every case needs only pairs whose depth sum is one less, so
+the product descends by depth only, and each sum visits a number of pairs
+linear in the leading entries.  ``_cases`` yields the pairs it needs, and
+``_product`` drives it on an explicit stack, not the interpreter's
+recursion: the stack holds one frame per unit of depth sum at most, so no
+recursion limit bounds the depth sum.  Every result term has depth equal to
+the sum of the factors' depths, and the restriction to compositions with all
 entries >= 1 agrees with the classical word shuffle pulled back along the
 encoding ``rho`` (implemented independently below as an oracle).
 
@@ -50,10 +52,11 @@ symbol interleaves each exponent with its label, ``(s1, u1, s2, u2, ...)``,
 with ``r = 2``.  The rest of a term is ``a[r:]`` and its first label
 ``a[1:r]``, empty for a composition; a shifted head keeps its label, and
 each zero peeled off a factor keeps that factor's first label.  Basis
-products have integer coefficients.  One ``functools.cache`` memoizes them,
-keyed by both terms and the stride, and ``ext_shuffle`` hands out its values
-as they are; the cache is safe to share between threads (a lost race only
-recomputes a value).
+products have integer coefficients.  One plain dict, ``_MEMO``, memoizes
+them, keyed by both terms and the stride, and ``ext_shuffle`` hands out its
+values as they are.  A map is stored only once complete, so an error raised
+mid-build leaves no partial value; threads share the dict, each on its own
+stack, and a lost race only recomputes a value.
 
 A sum that may meet keys already stored adds through ``algebra._merge``,
 which drops what cancels: the second ``s1, t1 > 0`` sum (its heads are the
@@ -67,7 +70,6 @@ keeps no memo: each call builds and returns a fresh map.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 
 from .algebra import Composition, LinComb, _merge, composition
@@ -90,10 +92,10 @@ def _put(out, coef, head, terms):
     return out
 
 
-@cache
-def _product(a, b, r):
-    """Product of two flat terms of stride ``r``, as a map from such terms to
-    nonzero integer coefficients; never mutated once built."""
+def _cases(a, b, r):
+    """The five cases for two flat terms of stride ``r``, as a generator: it
+    yields each sub-product it needs as ``(x, y, r)``, is sent that product's
+    map, and returns its own map, which is never mutated once built."""
     if not a:
         return {b: 1}
     if not b:
@@ -102,39 +104,64 @@ def _product(a, b, r):
     left, left_lab = a[r:], a[1:r]
     right, right_lab = b[r:], b[1:r]
     out = {}
-    # every call below has a smaller depth sum (the termination measure);
-    # within each sum the heads differ, and so do the keys
+    # every sub-product below has a smaller depth sum (the termination
+    # measure); within each sum the heads differ, and so do the keys
     if s1 == 0:
-        return _put(out, 1, (0,) + left_lab, _product(left, b, r))
+        return _put(out, 1, (0,) + left_lab, (yield left, b, r))
     if s1 < 0:
         m = -s1
         for k in range(m + 1):
             ck = (-1) ** k * comb(m, k)
-            _put(out, ck, (k - m,) + left_lab, _product(left, (t1 - k,) + b[1:], r))
+            _put(out, ck, (k - m,) + left_lab, (yield left, (t1 - k,) + b[1:], r))
         return out
     if t1 == 0:
-        return _put(out, 1, (0,) + right_lab, _product(a, right, r))
+        return _put(out, 1, (0,) + right_lab, (yield a, right, r))
     if t1 < 0:
         # the first sum's heads are below s1 - n, the second's are not
         n = -t1
         for k in range(min(s1 - 1, n) + 1):
             ck = (-1) ** k * comb(n, k)
-            _put(out, ck, (k - n,) + right_lab, _product((s1 - k,) + a[1:], right, r))
+            _put(out, ck, (k - n,) + right_lab, (yield (s1 - k,) + a[1:], right, r))
         for j in range(n - s1 + 1):
             cj = (-1) ** s1 * comb(n - 1 - j, s1 - 1)
-            _put(out, cj, (s1 + j - n,) + left_lab, _product(left, (-j,) + b[1:], r))
+            _put(out, cj, (s1 + j - n,) + left_lab, (yield left, (-j,) + b[1:], r))
         return out
     w = s1 + t1
     for j in range(1, t1 + 1):
         cj = comb(w - j - 1, s1 - 1)
-        _put(out, cj, (w - j,) + left_lab, _product(left, (j,) + b[1:], r))
+        _put(out, cj, (w - j,) + left_lab, (yield left, (j,) + b[1:], r))
     # the two sums share heads, so at stride 1 their terms merge
     for i in range(1, s1 + 1):
         ci = comb(w - i - 1, t1 - 1)
         head = (w - i,) + right_lab
-        sub = _product((i,) + a[1:], right, r)
+        sub = yield (i,) + a[1:], right, r
         _merge(out, ((head + term, ci * c) for term, c in sub.items()))
     return out
+
+
+_MEMO: dict = {}
+"""Every basis product built so far, keyed by ``(a, b, r)``."""
+
+
+def _product(a, b, r):
+    """Product of two flat terms of stride ``r``, from ``_MEMO`` or built by
+    driving ``_cases`` on an explicit stack, so no depth sum is too deep."""
+    done = _MEMO.get((a, b, r))
+    if done is not None:
+        return done
+    stack = [((a, b, r), _cases(a, b, r))]
+    while stack:
+        key, frame = stack[-1]
+        try:
+            need = frame.send(done)
+        except StopIteration as stop:
+            stack.pop()
+            done = _MEMO[key] = stop.value
+            continue
+        done = _MEMO.get(need)
+        if done is None:
+            stack.append((need, _cases(*need)))  # started by sending it None
+    return done
 
 
 def ext_shuffle(a: Composition, b: Composition) -> LinComb:

@@ -16,8 +16,9 @@ so the result symbols skip the checks of the public constructor.  Symbols share
 the record base ``_Rows`` and the sum base ``_RowsSum`` with the Chen fractions
 of :mod:`extshuffle.chenfrac`; ``opS_I`` and ``opS_J`` are ``algebra._shift``.
 
-Basis products share the engine's one memo, keyed by term and stride, and its
-contract: values are immutable and the cache tolerates concurrent use.
+Basis products share the engine's one memo, a plain dict keyed by term and
+stride, and its contract: values are immutable, only finished maps are
+stored, and threads may fill it at once.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The references are the unit-step five-case recursion (``reference_product``),
 the classical word shuffle, Euler's decomposition formula and the exact
 values of Chen fractions.  Large entries are where the engine departs from
-the unit-step recursion: its recursion descends by depth only.
+the unit-step recursion: it descends by depth only.
 """
 
 import os
@@ -225,15 +225,56 @@ def test_shared_memo_under_concurrent_cold_use():
         assert symbols_row == expected_symbols
 
 
-def test_recursion_reach_in_a_fresh_interpreter():
-    # a warm memo shortens the recursion, so the reach is measured cold; the
-    # word shuffle and the stuffle fill a table over suffix pairs without
-    # recursing, and the engine recurses once per unit of depth sum
+def test_a_failure_inside_a_build_leaves_only_complete_maps():
+    # the 50th store of a cold product (95 in all) raises; the error reaches
+    # the caller, and the memo keeps only the maps finished before it
     code = (
-        "from extshuffle import ext_shuffle, stuffle, word_shuffle\n"
-        "assert stuffle((1,) * 800, (1,)).coefficient((1,) * 801) == 801\n"
-        "assert word_shuffle((0,) * 800, (1,))[(0,) * 800 + (1,)] == 1\n"
-        "assert ext_shuffle((1,) * 490, (1,)).coefficient((1,) * 491) == 491\n"
+        "from extshuffle import ext_shuffle, shuffle\n"
+        "from reference_product import reference_shuffle\n"
+        "put, calls = shuffle._put, [0]\n"
+        "def failing(*args):\n"
+        "    calls[0] += 1\n"
+        "    if calls[0] == 50:\n"
+        "        raise MemoryError\n"
+        "    return put(*args)\n"
+        "shuffle._put = failing\n"
+        "a, b = (3, -2, 1, 2), (2, -1, 3, -1)\n"
+        "try:\n"
+        "    ext_shuffle(a, b)\n"
+        "except MemoryError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the failure did not reach the caller')\n"
+        "shuffle._put = put\n"
+        "assert calls == [50] and shuffle._MEMO and (a, b, 1) not in shuffle._MEMO\n"
+        "for (x, y, r), stored in list(shuffle._MEMO.items()):\n"
+        "    assert r == 1 and stored == reference_shuffle(x, y), (x, y)\n"
+        "assert dict(ext_shuffle(a, b).items()) == reference_shuffle(a, b)\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_the_engine_needs_no_recursion():
+    # at recursion limit 100 and from a cold memo: the engine drives its five
+    # cases on an explicit stack, one frame per unit of depth sum, so these
+    # depth sums of 2,001 and 151 reach no recursion limit
+    code = (
+        "import sys\n"
+        "from extshuffle import ChenSymbol, ext_shuffle, phi_project, symbol_product\n"
+        "sys.setrecursionlimit(100)\n"
+        "for a, b in [((1,) * 2000, (1,)), ((1,), (1,) * 2000)]:\n"
+        "    assert dict(ext_shuffle(a, b).items()) == {(1,) * 2001: 2001}\n"
+        "deep = ChenSymbol((1,) * 150, tuple(range(1, 151)))\n"
+        "lifted = phi_project(symbol_product(deep, ChenSymbol((1,), (151,))))\n"
+        "assert lifted == ext_shuffle((1,) * 150, (1,))\n"
+        "assert len(ext_shuffle((200,), (200,))) == 200\n"
+        "assert len(ext_shuffle((1000,), (-1000,))) == 1001\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
