@@ -27,7 +27,7 @@ def composition(entries: Iterable[int]) -> Composition:
     comp = tuple(entries)
     for e in comp:
         if not isinstance(e, int) or isinstance(e, bool):
-            raise TypeError(f"composition entries must be integers, got {e!r}")
+            raise TypeError(f"composition entries must be integers, got {_clip(repr(e))}")
     return comp
 
 
@@ -55,6 +55,12 @@ def format_composition(comp: Composition) -> str:
     if not comp:
         return "1"
     return "[" + ",".join(str(e) for e in comp) + "]"
+
+
+def _clip(shown) -> str:
+    """``str(shown)`` for an error message, cut to 60 characters plus ``...``."""
+    text = str(shown)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _check_coefficient(coef):

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
+from .algebra import _clip
 from .symbols import ChenSymbol, SymbolLinComb, _check_rows, _Rows, _RowsSum, symbol_product
 
 
@@ -35,7 +36,7 @@ class VanishingDenominatorError(ArithmeticError):
     def __init__(self, indices):
         self.indices = tuple(indices)
         form = "+".join(f"x{i}" for i in self.indices)
-        super().__init__(f"denominator {form} vanishes at the evaluation point")
+        super().__init__(f"denominator {_clip(form)} vanishes at the evaluation point")
 
 
 class ChenFraction(_Rows, namedtuple("ChenFraction", "exponents var_indices")):
@@ -56,7 +57,7 @@ class ChenFraction(_Rows, namedtuple("ChenFraction", "exponents var_indices")):
         exponents, indices = self  # a named field read costs more than this unpacking
         missing = [i for i in indices if i not in point]
         if missing:
-            raise ValueError(f"no value assigned to variable index {missing[0]}")
+            raise ValueError(f"no value assigned to variable index {_clip(missing[0])}")
         # integer numerators and denominators, normalized once at the end
         num = den = 1
         top, bottom = 0, 1  # the running suffix sum
@@ -134,7 +135,7 @@ def fraction_product(a: ChenFraction, b: ChenFraction) -> FractionLinComb:
     """
     shared = set(a.var_indices) & set(b.var_indices)
     if shared:
-        raise ValueError(f"fractions share variable indices {sorted(shared)}")
+        raise ValueError(f"fractions share variable indices {_clip(sorted(shared))}")
     # the rows are valid symbol rows
     return F_map(symbol_product(ChenSymbol._from_clean(*a), ChenSymbol._from_clean(*b)))
 

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .algebra import format_composition as _fmt
+from .algebra import _clip, format_composition as _fmt
 from .chenfrac import VanishingDenominatorError, evaluate, evaluation_panel, variables
 from .convergence import DivergentError, require_convergent
 from .parsing import parse_assignment, parse_composition, parse_fraction, parse_symbol
@@ -44,7 +44,7 @@ def _cmd_fraction_eval(args) -> int:
         point = {}
         for index, value in map(parse_assignment, args.points):
             if index in point:
-                raise ValueError(f"variable {index} is assigned more than once")
+                raise ValueError(f"variable {_clip(index)} is assigned more than once")
             point[index] = value
         value = evaluate(frac, point)
         if args.json:
@@ -131,10 +131,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_relations(args) -> int:
     if args.max_depth < 1:
-        raise ValueError(f"--max-depth must be at least 1, got {args.max_depth}")
+        raise ValueError(f"--max-depth must be at least 1, got {_clip(args.max_depth)}")
     if args.min_entry > args.max_entry:
         raise ValueError(
-            f"--min-entry {args.min_entry} is above --max-entry {args.max_entry}"
+            f"--min-entry {_clip(args.min_entry)} is above --max-entry {_clip(args.max_entry)}"
         )
     scan = enumerate_relations(
         args.max_depth,
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except DivergentError as exc:
-        print(f"error: divergent composition {_fmt(exc.comp)} ({exc.reason})", file=sys.stderr)
+        print(f"error: divergent composition {_clip(_fmt(exc.comp))} ({exc.reason})", file=sys.stderr)
         return 1
     except VanishingDenominatorError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ below certifies term by term.
 
 from __future__ import annotations
 
-from .algebra import Composition, composition, format_composition
+from .algebra import Composition, _clip, composition, format_composition
 from .shuffle import ext_shuffle
 
 
@@ -44,7 +44,7 @@ class DivergentError(ValueError):
     def __init__(self, comp, j, w):
         self.comp = comp
         self.reason = f"partial weight at j={j} is {w}, requires > {j}"
-        super().__init__(f"composition {format_composition(comp)} is not convergent ({self.reason})")
+        super().__init__(f"composition {_clip(format_composition(comp))} is not convergent ({self.reason})")
 
 
 def require_convergent(*comps: Composition) -> None:

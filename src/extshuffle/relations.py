@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .algebra import Composition, LinComb, _Record, composition
+from .algebra import Composition, _Record, composition
 from .convergence import is_convergent, require_convergent
 from .shuffle import ext_shuffle, stuffle
 from .zeta import DEFAULT_MAX_N, _check_numeric, _combine
@@ -63,14 +63,13 @@ class RelationScan(_Record, namedtuple("RelationScan", "relations skipped", defa
 
 def convergent_compositions(max_depth: int, min_entry: int, max_entry: int):
     """All convergent compositions with the given depth and entry bounds,
-    in canonical order (unit excluded)."""
-    found = []
-    for d in range(1, max_depth + 1):
-        for entries in itertools.product(range(min_entry, max_entry + 1), repeat=d):
-            if is_convergent(entries):
-                found.append(entries)
-    found.sort(key=LinComb._key)
-    return found
+    in canonical order (unit excluded), as ``itertools.product`` yields them."""
+    return [
+        entries
+        for d in range(1, max_depth + 1)
+        for entries in itertools.product(range(min_entry, max_entry + 1), repeat=d)
+        if is_convergent(entries)
+    ]
 
 
 def enumerate_relations(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import LinComb, _Record, _TermSum, _merge, _shift, composition, format_composition
+from .algebra import LinComb, _clip, _Record, _TermSum, _merge, _shift, composition, format_composition
 from .shuffle import _product
 
 
@@ -41,9 +41,9 @@ def _check_rows(exponents, indices, name):
     composition(exponents)
     for u in indices:
         if not isinstance(u, int) or isinstance(u, bool) or u < 1:
-            raise ValueError(f"{name} must be positive integers, got {u!r}")
+            raise ValueError(f"{name} must be positive integers, got {_clip(repr(u))}")
     if len(set(indices)) != len(indices):
-        raise ValueError(f"{name} must be pairwise distinct, got {indices}")
+        raise ValueError(f"{name} must be pairwise distinct, got {_clip(indices)}")
     return exponents, indices
 
 
@@ -132,7 +132,7 @@ def symbol_product(a: ChenSymbol, b: ChenSymbol) -> SymbolLinComb:
     (top, left), (bottom, right) = a, b
     shared = set(left) & set(right)
     if shared:
-        raise ValueError(f"symbols are not independent, shared labels {sorted(shared)}")
+        raise ValueError(f"symbols are not independent, shared labels {_clip(sorted(shared))}")
     # each term interleaves its rows; the result rows are valid by construction
     raw = _product(sum(zip(top, left), ()), sum(zip(bottom, right), ()), 2)
     return SymbolLinComb._from_clean(

@@ -15,15 +15,15 @@ reversed entries: the distinct suffixes of its compositions form a trie, and
 the sweep runs the trie level by level, level ``j`` as one 2-D block with a
 row per distinct suffix of length ``j``.  In that order the longest suffix a
 composition shares with any earlier one is the one it shares with its
-predecessor, so one pass over those shared lengths plans the trie, with no
-dictionary of suffixes.  A row's terms are ``n**-s`` (from a table of the
-batch's distinct exponents) times its parent row shifted by one, formed in
-float64.  A level is summed in one vectorised pass: each row in runs of
-``_RUN`` values in float64, and the run totals and the carry from the
-previous stretch in ``np.longdouble``, extended precision where the platform
-has it.  Blocked summation like this keeps the error near ``(_RUN + N /
-_RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci. Comput. 1993).
-The cost is O(distinct suffixes * N) instead of O(N**depth).
+predecessor, so one pass over those shared lengths finds each one's new
+suffixes, and one dictionary numbers them as trie nodes.  A row's terms are
+``n**-s`` (from a table of the batch's distinct exponents) times its parent
+row shifted by one, formed in float64.  A level is summed in one vectorised
+pass: each row in runs of ``_RUN`` values in float64, and the run totals and
+the carry from the previous stretch in ``np.longdouble``, extended precision
+where the platform has it.  Blocked summation like this keeps the error near
+``(_RUN + N / _RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci.
+Comput. 1993).  The cost is O(distinct suffixes * N) instead of O(N**depth).
 
 The sweep advances through ``n`` in stretches that end at every cutoff and
 span at most ``_PIECE`` values.  Each stretch takes the batch in chunks of
@@ -94,10 +94,11 @@ import threading
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from itertools import accumulate
 from numbers import Integral
 from operator import mul
 
-from .algebra import Composition, LinComb, _Record, composition, depth, format_composition as _fmt
+from .algebra import Composition, LinComb, _clip, _Record, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
 from .shuffle import ext_shuffle
 
@@ -128,12 +129,8 @@ def _plan(comps, budget, power_row):
     one is the suffix it shares with its predecessor, so each composition
     adds a node for every longer suffix of its own (all of them at the start
     of a chunk).  A chunk takes compositions while its nodes number at most
-    ``budget``; one with more suffixes than that is a chunk of its own.  The
-    trie of ``comps[start:stop]`` is ``(suffixes, which, parent, bounds)``:
-    its nodes level by level, each level in the order of its compositions;
-    node ``i``'s terms are the table row ``which[i]``, ``n**-suffixes[i][0]``,
-    times the sums of node ``parent[i]`` above the first level; and the end
-    of each level.  ``rows[c]`` is the node of ``comps[start + c]`` itself.
+    ``budget``; one with more suffixes than that is a chunk of its own.
+    ``_trie`` lays out each chunk's ``rows`` and ``trie``.
     """
     shared, spans, start, size, prev = [], [], 0, 0, ()
     for i, comp in enumerate(comps):
@@ -149,34 +146,28 @@ def _plan(comps, budget, power_row):
         shared.append(k)
         prev = comp
     spans.append((start, len(comps)))
-    plan = []
-    for start, stop in spans:
-        height = max(map(len, comps[start:stop]))
-        change = [0] * (height + 2)  # a composition adds a node on levels shared + 1 to len
-        for i in range(start, stop):
-            change[shared[i] + 1] += 1
-            change[len(comps[i]) + 1] -= 1
-        free, bounds, total, level = [0], [], 0, 0  # free[j]: the next node of level j
-        for j in range(1, height + 1):
-            level += change[j]
-            free.append(total)
-            total += level
-            bounds.append(total)
-        suffixes, which, parent = [None] * total, [0] * total, [0] * total
-        path, rows = [0] * (height + 1), []  # path[j]: the node of the last suffix of length j
-        for i in range(start, stop):
-            comp = comps[i]
-            k = len(comp)
-            for j in range(shared[i] + 1, k + 1):
-                node = free[j]
-                free[j] = node + 1
-                suffixes[node] = comp[k - j :]
-                which[node] = power_row[-comp[k - j]]
-                parent[node] = path[j - 1]
-                path[j] = node
-            rows.append(path[k])
-        plan.append((start, stop, rows, (suffixes, which, parent, bounds)))
-    return plan
+    return [(start, stop, *_trie(comps[start:stop], shared[start:stop], power_row))
+            for start, stop in spans]
+
+
+def _trie(chunk, shared, power_row):
+    """``(rows, trie)`` of ``chunk``, whose ``c``-th composition shares a
+    suffix of length ``shared[c]`` with earlier ones.  The trie is
+    ``(suffixes, which, parent, bounds)``: its nodes level by level, each
+    level in the order of its compositions; node ``i``'s terms are the table
+    row ``which[i]``, ``n**-suffixes[i][0]``, times the sums of node
+    ``parent[i]`` above the first level; and the end of each level.  One
+    dictionary by suffix numbers the nodes; ``rows[c]`` is ``chunk[c]``'s."""
+    levels = [[] for _ in range(max(map(len, chunk)))]
+    for comp, k in zip(chunk, shared):
+        for j in range(k + 1, len(comp) + 1):
+            levels[j - 1].append(comp[-j:])
+    suffixes = [s for level in levels for s in level]
+    node = {s: i for i, s in enumerate(suffixes)}
+    which = [power_row[-s[0]] for s in suffixes]
+    parent = [node.get(s[1:], 0) for s in suffixes]  # 0 on the first level, which has none
+    bounds = list(accumulate(map(len, levels)))
+    return [node[comp] for comp in chunk], (suffixes, which, parent, bounds)
 
 
 def _workspace(first, count, width, powers, block):
@@ -311,7 +302,7 @@ def _advance(comps, pos, target, carries, grid, out):
     bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
     if bad:
         more = f" (and {len(bad) - 1} more compositions)" if len(bad) > 1 else ""
-        raise ValueError(f"partial sums of {_fmt(bad[0])}{more} overflow float64 by n = {target}")
+        raise ValueError(f"partial sums of {_clip(_fmt(bad[0]))}{more} overflow float64 by n = {target}")
     return carries
 
 
@@ -365,13 +356,9 @@ def _constant_rows(columns, sizes):
     """
     import numpy as np
 
-    mantissas, exponents = np.frexp(np.array(columns))
-    low = int(exponents.min())
-    scale = 1 << (53 - low)  # every value times scale is an integer
-    a = [
-        list(map(int.__lshift__, m, e))
-        for m, e in zip((mantissas * 2.0**53).astype(np.int64).tolist(), (exponents - low).tolist())
-    ]
+    scale = 1 << (53 - int(np.frexp(np.array(columns))[1].min()))  # makes every value an integer
+    # scaled exactly as fractions: a subnormal entry's scale would overflow float64
+    a = [[n * scale // d for n, d in map(float.as_integer_ratio, col.tolist())] for col in columns]
     with localcontext() as ctx:
         ctx.prec = 80
         chol, z = [], []
@@ -455,9 +442,9 @@ def _check_cap(name, value):
     """``TypeError`` unless ``value`` is an integer other than a bool,
     ``ValueError`` if it is above ``_MAX_CUTOFF``."""
     if not isinstance(value, Integral) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {_clip(repr(value))}")
     if value > _MAX_CUTOFF:
-        raise ValueError(f"{name} must be at most 2**53, where float64 n stops being exact; got {value}")
+        raise ValueError(f"{name} must be at most 2**53, where float64 n stops being exact; got {_clip(value)}")
 
 
 def _check_numeric(tol, max_n):
@@ -467,7 +454,7 @@ def _check_numeric(tol, max_n):
     if max_n <= _START_N:
         raise ValueError(
             f"max_n must exceed {_START_N}, the first cutoff, so that the sweep can "
-            f"double past it; got {max_n}"
+            f"double past it; got {_clip(max_n)}"
         )
 
 
@@ -522,27 +509,27 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
 
 
 _MEMO: dict = {}
-"""Estimates by ``(comp, tol, max_n)``, read and written only by ``_combine``.
-Batches only add entries, and an entry does not depend on the batch that
-computed it, so threads share the memo safely: a lost race only computes an
-entry twice."""
+"""One dict of estimates by composition for each ``(tol, max_n)``, read and
+written only by ``_combine``.  Batches only add entries, and an entry does
+not depend on the batch that computed it, so threads share the memo safely:
+a lost race only computes an entry twice."""
 
 
 def _combine(xs, tol, max_n):
     """``zeta_of_lincomb`` of each combination in the list ``xs``, once
-    ``tol`` and ``max_n`` are checked.  The terms not in the memo are
-    evaluated in one batch; this is the only caller of ``_evaluate``."""
+    ``tol`` and ``max_n`` are checked.  The terms not in the memo go to
+    ``_evaluate``, its only caller, in one batch that holds each once."""
     _check_numeric(tol, max_n)
+    memo = _MEMO.setdefault((tol, max_n), {})
     terms = [x.terms() for x in xs]
-    missing = [comp for pairs in terms for comp, _ in pairs if (comp, tol, max_n) not in _MEMO]
+    missing = dict.fromkeys(comp for pairs in terms for comp, _ in pairs if comp not in memo)
     if missing:
-        for comp, est in _evaluate(missing, tol, max_n).items():
-            _MEMO[comp, tol, max_n] = est
+        memo.update(_evaluate(list(missing), tol, max_n))
     estimates = []
     for pairs in terms:
         total, err, cutoff, converged = 0.0, 0.0, 0, True
         for comp, coef in pairs:
-            est = _MEMO[comp, tol, max_n]
+            est = memo[comp]
             c = float(coef)
             total += c * est.value
             err += abs(c) * est.est_error

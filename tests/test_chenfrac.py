@@ -66,6 +66,19 @@ def test_evaluate_missing_assignment():
         ChenFraction((1,), (4,)).evaluate({1: Fraction(1)})
 
 
+def test_errors_on_long_rows_cut_their_echo_at_60_characters():
+    labels = tuple(range(1, 3001))
+    a = ChenFraction((1,) * 3000, labels)
+    with pytest.raises(ValueError, match=r"^fractions share variable indices \[1, 2, 3,") as info:
+        fraction_product(a, a)
+    assert len(str(info.value)) == len("fractions share variable indices ") + 63
+    with pytest.raises(VanishingDenominatorError) as info:
+        ChenFraction((1,) + (0,) * 2999, labels).evaluate({1: -2999, **dict.fromkeys(labels[1:], 1)})
+    assert info.value.indices == labels
+    form = "+".join(f"x{i}" for i in labels)
+    assert str(info.value) == f"denominator {form[:60]}... vanishes at the evaluation point"
+
+
 def test_evaluate_vanishing_denominator():
     with pytest.raises(VanishingDenominatorError, match="x1\\+x2"):
         ChenFraction((2, 1), (1, 2)).evaluate({1: Fraction(-1), 2: Fraction(1)})

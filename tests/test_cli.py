@@ -81,6 +81,44 @@ def test_an_over_long_argument_gives_a_short_error_line(capsys):
     assert err.startswith("error: ") and " at position 1 in " in err
 
 
+def _comp_arg(entries):
+    return "[" + ",".join(map(str, entries)) + "]"
+
+
+_ONES = _comp_arg([1] * 3000)
+_LABELS = _comp_arg(range(1, 3001))
+_BIG = "9" * 4300  # the most digits an integer argument may have
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["zeta", _ONES], 1),
+        (["verify", _ONES, "[2]"], 1),
+        (["verify", "[2]", _ONES], 1),
+        (["zeta", _comp_arg([400, -397] + [1] * 2998)], 2),
+        (["symbol-product", f"<{_ONES};{_ONES}>", "1"], 2),
+        (["symbol-product", f"<{_ONES};{_LABELS}>", f"<{_ONES};{_LABELS}>"], 2),
+        (["fraction-eval", f"f({_ONES};{_ONES})"], 2),
+        (["fraction-eval", f"f({_comp_arg([1] + [0] * 2999)};{_LABELS})", "1=-2999",
+          *(f"{i}=1" for i in range(2, 3001))], 1),
+        (["fraction-eval", f"f([1];[{_BIG}])", f"{_BIG}=1", f"{_BIG}=2"], 2),
+        (["fraction-eval", f"f([1];[{_BIG}])", "1=1"], 2),
+        (["zeta", "[2]", "--max-n", _BIG], 2),
+        (["verify", "[2]", "[3]", "--max-n", f"-{_BIG}"], 2),
+        (["relations", "--max-depth", f"-{_BIG}", "--min-entry", "1", "--max-entry", "2"], 2),
+        (["relations", "--max-depth", "1", "--min-entry", _BIG, "--max-entry", f"-{_BIG}"], 2),
+    ],
+    ids=["zeta divergent", "verify divergent a", "verify divergent b", "zeta overflow",
+         "repeated labels", "shared labels", "repeated variables", "vanishing denominator",
+         "variable twice", "unassigned variable", "cap above", "cap below", "depth", "entries"],
+)
+def test_an_error_that_echoes_a_long_input_is_one_short_line(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201
+
+
 def test_output_reparses_to_equal_lincomb(capsys):
     for a, b in [("[2]", "[3]"), ("[-2,1]", "[0,4]"), ("[1]", "[-1]")]:
         code, out, _ = run(capsys, "shuffle", a, b)

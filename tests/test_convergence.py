@@ -30,6 +30,15 @@ def test_divergent_error_carries_the_composition_and_the_reason():
     assert info.value.reason == "partial weight at j=2 is 2, requires > 2"
 
 
+def test_a_long_divergent_composition_is_cut_in_the_message_only():
+    with pytest.raises(DivergentError) as info:
+        require_convergent((1,) * 3000)
+    assert info.value.comp == (1,) * 3000
+    assert str(info.value) == (
+        f"composition [{'1,' * 29}1... is not convergent (partial weight at j=1 is 1, requires > 1)"
+    )
+
+
 def test_tilde_w_examples():
     assert [tilde_w((-1, 2), j) for j in range(3)] == [-1, -1, 1]
     assert [tilde_w((2, -1), j) for j in range(3)] == [0, 1, 1]

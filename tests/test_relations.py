@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from extshuffle import (
@@ -11,6 +13,7 @@ from extshuffle import (
     word_shuffle,
     zeta,
 )
+from extshuffle.convergence import is_convergent
 from extshuffle.relations import convergent_compositions
 
 
@@ -49,6 +52,18 @@ def test_convergent_compositions_enumeration():
     assert (2,) in basis2
     assert all(len(c) <= 2 for c in basis2)
     assert convergent_compositions(2, 0, 1) == []
+
+
+def test_convergent_compositions_are_the_convergent_ones_in_canonical_order():
+    # every depth up to 4 and every entry range within -3..4, empty ones included
+    everything = [c for d in range(1, 5) for c in itertools.product(range(-3, 5), repeat=d)]
+    for max_depth in range(1, 5):
+        for lo in range(-3, 5):
+            for hi in range(lo - 1, 5):
+                basis = convergent_compositions(max_depth, lo, hi)
+                brute = [c for c in everything if len(c) <= max_depth
+                         and all(lo <= e <= hi for e in c) and is_convergent(c)]
+                assert basis == sorted(brute, key=LinComb._key), (max_depth, lo, hi)
 
 
 def test_enumerate_relations_smallest():

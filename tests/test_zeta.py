@@ -22,7 +22,7 @@ from extshuffle import (
     zeta_truncated,
 )
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _evaluate, _fit_rows
+from extshuffle.zeta import _constant_rows, _evaluate, _fit_rows
 from reference_rows import reference_rows
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
@@ -404,6 +404,25 @@ def test_repeated_zeta_is_a_memo_lookup(monkeypatch):
     assert zeta((3, 1), 1e-6) == first
 
 
+def test_each_missing_term_is_evaluated_once(monkeypatch):
+    # [2] x [2] = 2[2,2] + 4[3,1] and both factors are [2]: one batch holds each
+    # composition once, and the memo for this tolerance is keyed by composition
+    asked = []
+
+    def recorded(comps, tol, max_n):
+        asked.append(list(comps))
+        return _evaluate(comps, tol, max_n)
+
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    monkeypatch.setattr(ZETA_MODULE, "_evaluate", recorded)
+    assert verify_homomorphism((2,), (2,), 1e-6).passed
+    assert len(asked) == 1 and sorted(asked[0]) == [(2,), (2, 2), (3, 1)]
+    assert list(ZETA_MODULE._MEMO) == [(1e-6, 1 << 24)]
+    assert sorted(ZETA_MODULE._MEMO[1e-6, 1 << 24]) == [(2,), (2, 2), (3, 1)]
+    verify_homomorphism((2,), (2,), 1e-6)
+    assert len(asked) == 1
+
+
 def test_zeta_of_the_zero_combination():
     assert zeta_of_lincomb(LinComb.zero(), 1e-6) == ZetaEstimate(0.0, 0, 0.0, True)
 
@@ -536,3 +555,13 @@ def test_fit_rows_keep_the_constant_and_annihilate_the_model(cutoff):
                 assert abs(sum(r) - 1) <= bound, (k, p)
                 for i, col in enumerate(exact[1 : 1 + p * k], 1):
                     assert abs(sum(map(mul, r, col))) <= bound * max(map(abs, col)), (k, p, i)
+
+
+def test_constant_rows_scale_a_subnormal_entry_exactly():
+    # the scale that makes 2**-1070 an integer is 2**1121, past float64's
+    # range, so the columns must be scaled as exact integers, not in float64
+    columns = [np.ones(5), np.array([1.0, 0.5, 2.0**-1070, 0.25, 0.125]), np.arange(5.0)]
+    rows = _constant_rows(columns, [1, 2, 3])
+    expected = reference_rows(columns, prec=120)
+    assert rows[0] == [0.2] * 5
+    assert np.abs(np.array(rows) - expected).max() <= 1e-15
