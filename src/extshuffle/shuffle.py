@@ -54,9 +54,13 @@ with ``r = 2``.  The rest of a term is ``a[r:]`` and its first label
 each zero peeled off a factor keeps that factor's first label.  Basis
 products have integer coefficients.  One plain dict, ``_MEMO``, memoizes
 them, keyed by both terms and the stride, and ``ext_shuffle`` hands out its
-values as they are.  A map is stored only once complete, so an error raised
-mid-build leaves no partial value; threads share the dict, each on its own
-stack, and a lost race only recomputes a value.
+values as they are.  It keeps the product a caller asked for and each
+sub-product its build asked for a second time; the build keeps the rest in
+a dict of its own, read after ``_MEMO`` and dropped when the build ends, as
+most sub-products are asked for once.  A map is stored only once complete,
+so an error raised mid-build leaves no partial value; threads share
+``_MEMO``, each with its own stack and build dict, and a lost race only
+recomputes a value.
 
 A sum that may meet keys already stored adds through ``algebra._merge``,
 which drops what cancels: the second ``s1, t1 > 0`` sum (its heads are the
@@ -140,7 +144,8 @@ def _cases(a, b, r):
 
 
 _MEMO: dict = {}
-"""Every basis product built so far, keyed by ``(a, b, r)``."""
+"""The basis products callers asked for, and the sub-products a build asked
+for twice, keyed by ``(a, b, r)``."""
 
 
 def _product(a, b, r):
@@ -149,6 +154,7 @@ def _product(a, b, r):
     done = _MEMO.get((a, b, r))
     if done is not None:
         return done
+    built = {}
     stack = [((a, b, r), _cases(a, b, r))]
     while stack:
         key, frame = stack[-1]
@@ -156,11 +162,16 @@ def _product(a, b, r):
             need = frame.send(done)
         except StopIteration as stop:
             stack.pop()
-            done = _MEMO[key] = stop.value
+            done = built[key] = stop.value
             continue
         done = _MEMO.get(need)
         if done is None:
-            stack.append((need, _cases(*need)))  # started by sending it None
+            done = built.get(need)
+            if done is None:
+                stack.append((need, _cases(*need)))  # started by sending it None
+            else:
+                _MEMO[need] = done  # asked for a second time
+    _MEMO[a, b, r] = done
     return done
 
 

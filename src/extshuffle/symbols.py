@@ -18,7 +18,8 @@ of :mod:`extshuffle.chenfrac`; ``opS_I`` and ``opS_J`` are ``algebra._shift``.
 
 Basis products share the engine's one memo, a plain dict keyed by term and
 stride, and its contract: values are immutable, only finished maps are
-stored, and threads may fill it at once.
+stored (the products asked for, and the sub-products a build asked for
+twice), and threads may fill it at once.
 """
 
 from __future__ import annotations

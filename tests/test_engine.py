@@ -227,7 +227,8 @@ def test_shared_memo_under_concurrent_cold_use():
 
 def test_a_failure_inside_a_build_leaves_only_complete_maps():
     # the 50th store of a cold product (95 in all) raises; the error reaches
-    # the caller, and the memo keeps only the maps finished before it
+    # the caller, the build's own sub-products go with it, and the memo keeps
+    # only the maps the build asked for a second time before it, each complete
     code = (
         "from extshuffle import ext_shuffle, shuffle\n"
         "from reference_product import reference_shuffle\n"
@@ -302,6 +303,70 @@ def test_word_shuffle_and_stuffle_need_no_recursion_and_little_memory():
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+_RETENTION_PRODUCTS = {
+    1: (
+        "a, b, zero = (3, -2, 1), (2, -1, 2), (0,)\n"
+        "def product(x, y):\n"
+        "    return dict(ext_shuffle(x, y).items())\n"
+        "reference = reference_shuffle\n"
+    ),
+    2: (
+        "a, b, zero = (3, 1, -2, 2, 1, 3), (2, 4, -1, 5, 2, 6), (0, 99)\n"
+        "def product(x, y):\n"
+        "    got = symbol_product(ChenSymbol(x[::2], x[1::2]), ChenSymbol(y[::2], y[1::2]))\n"
+        "    return {sum(zip(t.exponents, t.labels), ()): c for t, c in got.items()}\n"
+        "def reference(x, y):\n"
+        "    raw = reference_product((x[::2], x[1::2]), (y[::2], y[1::2]))\n"
+        "    return {sum(zip(e, l), ()): c for (e, l), c in raw.items()}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_the_memo_keeps_the_asked_product_and_what_its_build_asked_for_twice(stride):
+    # from a fresh memo, one cold product leaves in the memo its own map and
+    # each sub-product its build asked for twice; a sub-product asked for once
+    # goes with the build, and a later product that needs it builds it again
+    code = (
+        "from collections import Counter\n"
+        "from extshuffle import ChenSymbol, ext_shuffle, shuffle, symbol_product\n"
+        "from reference_product import reference_product, reference_shuffle\n"
+        "cases, built, asked = shuffle._cases, [], Counter()\n"
+        "def counting(a, b, r):\n"
+        "    built.append((a, b, r))\n"
+        "    frame, sent = cases(a, b, r), None\n"
+        "    while True:\n"
+        "        try:\n"
+        "            need = frame.send(sent)\n"
+        "        except StopIteration as stop:\n"
+        "            return stop.value\n"
+        "        asked[need] += 1\n"
+        "        sent = yield need\n"
+        "shuffle._cases = counting\n"
+        + _RETENTION_PRODUCTS[stride]
+        + f"r = {stride}\n"
+        "assert product(a, b) == reference(a, b)\n"
+        "twice = {key for key, n in asked.items() if n > 1}\n"
+        "assert twice and set(shuffle._MEMO) == twice | {(a, b, r)}\n"
+        "assert len(built) == len(set(built))\n"
+        "once = [k for k in built if k[0] and k[1] and k not in shuffle._MEMO]\n"
+        "x, y, _ = max(once, key=lambda k: len(k[0]) + len(k[1]))\n"
+        "built.clear()\n"
+        "assert product(zero + x, y) == reference(zero + x, y)\n"
+        "assert (x, y, r) in built and (x, y, r) not in shuffle._MEMO\n"
+        "assert product(x, y) == reference(x, y)\n"
+        "built.clear()\n"
+        "assert product(a, b) == reference(a, b) and built == []\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
