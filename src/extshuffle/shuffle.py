@@ -7,14 +7,15 @@ derivation (the Leibniz rule ``J(a x b) = J(a) x b + a x J(b)``) and
 positive leading entries obey the weight-zero Rota-Baxter shape
 ``a x b = I(a x J(b)) + I(J(a) x b)``.
 
-Write ``a = [s1,a']``, ``b = [t1,b']``, ``m = -s1`` and ``n = -t1``.  Besides
-the two zero-peeling cases, ``[0,a'] x b = [0, a' x b]`` and, for
-``s1 > 0``, ``a x [0,b'] = [0, a x b']``, the Leibniz rule and the
-Rota-Baxter shape each fold into binomial sums over the leading entries:
+Write ``a = [s1,a']``, ``b = [t1,b']``, ``m = -s1`` and ``n = -t1``.  The
+Leibniz rule and the Rota-Baxter shape each fold into binomial sums over the
+leading entries, in three cases.  The zero-peeling rules ``[0,a'] x b =
+[0, a' x b]`` and, for ``s1 > 0``, ``a x [0,b'] = [0, a x b']`` are the first
+two cases at ``m = 0`` and ``n = 0``, each reduced to its one ``J^0`` term:
 
-* ``s1 < 0``: ``sum_{k=0..m} (-1)^k C(m,k) J^(m-k) [0, a' x J^k(b)]``.
+* ``s1 <= 0``: ``sum_{k=0..m} (-1)^k C(m,k) J^(m-k) [0, a' x J^k(b)]``.
   This is the Leibniz rule solved for ``a = J^m [0,a']``.
-* ``s1 > 0, t1 < 0``::
+* ``s1 > 0, t1 <= 0``::
 
       sum_{k=0..min(s1-1,n)} (-1)^k C(n,k) J^(n-k) [0, J^k(a) x b']
     + (-1)^s1 sum_{j=0..n-s1} C(n-1-j, s1-1) J^(n-s1-j) [0, a' x [-j,b']]
@@ -22,7 +23,7 @@ Rota-Baxter shape each fold into binomial sums over the leading entries:
   The Leibniz rule solved for ``b = J^n [0,b']`` gives
   ``sum_k (-1)^k C(n,k) J^(n-k) (J^k(a) x [0,b'])``.  Its terms with
   ``k < s1`` peel the zero of ``[0,b']``; those with ``k >= s1`` expand by
-  the ``s1 < 0`` sum into shifts ``J^(n-s1-j)`` that do not depend on ``k``,
+  the ``s1 <= 0`` sum into shifts ``J^(n-s1-j)`` that do not depend on ``k``,
   and their binomials sum to the closed form above.  So no two terms cancel
   and no pair of the same depth sum is visited.
 * ``s1, t1 > 0``, Euler's decomposition as generalized by Guo and Xie
@@ -33,8 +34,8 @@ Rota-Baxter shape each fold into binomial sums over the leading entries:
       sum_{j=1..t1} C(s1-1+t1-j, s1-1) I^(s1+t1-j) [0, a' x [j,b']]
     + sum_{i=1..s1} C(t1-1+s1-i, t1-1) I^(s1+t1-i) [0, [i,a'] x b']
 
-The product is not commutative, so the ``t1 < 0`` sums are not the
-``s1 < 0`` sum with the factors swapped.
+The product is not commutative, so the ``t1 <= 0`` sums are not the
+``s1 <= 0`` sum with the factors swapped.
 
 Termination: every case needs only pairs whose depth sum is one less, so
 the product descends by depth only, and each sum visits a number of pairs
@@ -93,13 +94,13 @@ def _put(out, coef, head, terms):
     must not be in ``out`` yet, so no lookup or zero test is needed."""
     for term, c in terms.items():
         out[head + term] = coef * c
-    return out
 
 
 def _cases(a, b, r):
-    """The five cases for two flat terms of stride ``r``, as a generator: it
-    yields each sub-product it needs as ``(x, y, r)``, is sent that product's
-    map, and returns its own map, which is never mutated once built."""
+    """The three sign cases for two flat terms of stride ``r``, whose ``J^0``
+    terms are the zero-peeling rules, as a generator: it yields each
+    sub-product it needs as ``(x, y, r)``, is sent that product's map, and
+    returns its own map, which is never mutated once built."""
     if not a:
         return {b: 1}
     if not b:
@@ -110,17 +111,13 @@ def _cases(a, b, r):
     out = {}
     # every sub-product below has a smaller depth sum (the termination
     # measure); within each sum the heads differ, and so do the keys
-    if s1 == 0:
-        return _put(out, 1, (0,) + left_lab, (yield left, b, r))
-    if s1 < 0:
+    if s1 <= 0:
         m = -s1
         for k in range(m + 1):
             ck = (-1) ** k * comb(m, k)
             _put(out, ck, (k - m,) + left_lab, (yield left, (t1 - k,) + b[1:], r))
         return out
-    if t1 == 0:
-        return _put(out, 1, (0,) + right_lab, (yield a, right, r))
-    if t1 < 0:
+    if t1 <= 0:
         # the first sum's heads are below s1 - n, the second's are not
         n = -t1
         for k in range(min(s1 - 1, n) + 1):

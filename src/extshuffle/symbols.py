@@ -6,7 +6,7 @@ with disjoint label sets are *independent*; only independent symbols may be
 multiplied.  The locality product is the extended shuffle engine of
 :mod:`extshuffle.shuffle` run at stride 2 on the symbol's two rows
 interleaved, ``(s1, u1, s2, u2, ...)``: the top row follows
-its three closed-form sums (the Leibniz rule solved for a negative leading
+its three closed-form sums (the Leibniz rule solved for a nonpositive leading
 entry on either side, and the generalized Euler decomposition for two
 positive ones), which descend by depth only, and each zero peeled off a
 factor keeps that factor's first label.  So every result term's label row is

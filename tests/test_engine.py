@@ -13,6 +13,7 @@ import threading
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -36,6 +37,7 @@ from extshuffle import (
     symbol_product,
     word_shuffle,
 )
+from extshuffle import shuffle
 from extshuffle.shuffle import _product
 from test_symbols import _is_shuffle_of, symbol_pairs
 
@@ -262,9 +264,10 @@ def test_a_failure_inside_a_build_leaves_only_complete_maps():
 
 
 def test_the_engine_needs_no_recursion():
-    # at recursion limit 100 and from a cold memo: the engine drives its five
-    # cases on an explicit stack, one frame per unit of depth sum, so these
-    # depth sums of 2,001 and 151 reach no recursion limit
+    # at recursion limit 100 and from a cold memo: the engine drives its three
+    # sign cases on an explicit stack, one frame per unit of depth sum, so
+    # these depth sums of 2,001 and 151 reach no recursion limit; the zero
+    # chain peels each zero as the J^0 term of the s1 <= 0 Leibniz sum
     code = (
         "import sys\n"
         "from extshuffle import ChenSymbol, ext_shuffle, phi_project, symbol_product\n"
@@ -276,6 +279,7 @@ def test_the_engine_needs_no_recursion():
         "assert lifted == ext_shuffle((1,) * 150, (1,))\n"
         "assert len(ext_shuffle((200,), (200,))) == 200\n"
         "assert len(ext_shuffle((1000,), (-1000,))) == 1001\n"
+        "assert dict(ext_shuffle((0,) * 2000, (0,)).items()) == {(0,) * 2001: 1}\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
@@ -283,6 +287,35 @@ def test_the_engine_needs_no_recursion():
         capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@given(symbol_pairs(min_entry=-6, max_entry=6))
+def test_every_need_has_a_depth_sum_one_less(stride, pair):
+    # the termination measure: from a cold memo, every frame of the build
+    # for x * y at stride r needs only pairs of flat length len(x)+len(y)-r
+    sa, sb = pair
+    if stride == 1:
+        a, b = sa.exponents, sb.exponents
+    else:
+        a, b = sum(zip(*sa), ()), sum(zip(*sb), ())
+    cases, checked = shuffle._cases, [0]
+
+    def measured(x, y, r):
+        frame, sent = cases(x, y, r), None
+        while True:
+            try:
+                need = frame.send(sent)
+            except StopIteration as stop:
+                return stop.value
+            u, v, s = need
+            assert s == r and len(u) + len(v) == len(x) + len(y) - r, ((x, y), need)
+            checked[0] += 1
+            sent = yield need
+
+    with mock.patch.object(shuffle, "_cases", measured), mock.patch.object(shuffle, "_MEMO", {}):
+        _product(a, b, stride)
+    assert bool(checked[0]) == bool(a and b)
 
 
 def test_word_shuffle_and_stuffle_need_no_recursion_and_little_memory():

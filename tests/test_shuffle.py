@@ -3,12 +3,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
 from extshuffle import (
+    ChenSymbol,
     LinComb,
+    SYMBOL_UNIT,
+    SymbolLinComb,
     UNIT,
     ext_shuffle,
     ext_shuffle_lin,
@@ -18,10 +21,12 @@ from extshuffle import (
     rho_decode,
     rho_encode,
     stuffle,
+    symbol_product,
     word_from_str,
     word_shuffle,
     word_to_str,
 )
+from test_symbols import symbol_pairs
 
 
 def lc(*terms):
@@ -29,7 +34,9 @@ def lc(*terms):
 
 
 # ---------------------------------------------------------------------------
-# the five worked single-entry products, one per recursion case
+# five worked single-entry products, one per case of the unit-step
+# recursion; the engine folds its two zero-peeling cases into the Leibniz
+# sums as their J^0 terms, so it computes them in three sign cases
 
 
 def test_case1_zero_times_negative():
@@ -73,9 +80,28 @@ def test_non_commutativity_witness():
     assert ext_shuffle((0,), (-1,)) != ext_shuffle((-1,), (0,))
 
 
-def test_boundary_law_for_leading_positive():
-    for comp in [(1,), (3,), (2, -5), (1, 0, 4)]:
-        assert ext_shuffle(comp, (0,)) == LinComb.basis((0,) + comp)
+@given(symbol_pairs(min_entry=-4, max_entry=4))
+@example((ChenSymbol((1,), (1,)), SYMBOL_UNIT))
+@example((ChenSymbol((3,), (1,)), SYMBOL_UNIT))
+@example((ChenSymbol((2, -5), (1, 2)), SYMBOL_UNIT))
+@example((ChenSymbol((1, 0, 4), (1, 2, 3)), SYMBOL_UNIT))
+def test_boundary_law_for_leading_positive(pair):
+    # the zero-peeling rules, which the engine computes as the J^0 terms of
+    # its Leibniz sums: [0,a'] x b = [0, a' x b] for every b, and
+    # a x [0,b'] = [0, a x b'] when a leads positive; at stride 2 every
+    # result term starts with exponent 0 and the zero factor's first label
+    sa, sb = pair
+    a, b = sa.exponents, sb.exponents
+    peeled = LinComb({(0,) + comp: c for comp, c in ext_shuffle(a, b).items()})
+    peeled_symbols = SymbolLinComb(
+        {ChenSymbol((0,) + t.exponents, (13,) + t.labels): c
+         for t, c in symbol_product(sa, sb).items()}
+    )
+    assert ext_shuffle((0,) + a, b) == peeled
+    assert symbol_product(ChenSymbol((0,) + a, (13,) + sa.labels), sb) == peeled_symbols
+    if a and a[0] > 0:
+        assert ext_shuffle(a, (0,) + b) == peeled
+        assert symbol_product(sa, ChenSymbol((0,) + b, (13,) + sb.labels)) == peeled_symbols
 
 
 # ---------------------------------------------------------------------------
