@@ -88,7 +88,7 @@ def enumerate_relations(
     skipped (module note).  Every relation is built first, and the union of
     their terms is evaluated in one batch.
     """
-    _check_numeric(tol, max_n)
+    tol = _check_numeric(tol, max_n)
     lo, hi = entry_range
     basis = convergent_compositions(max_depth, lo, hi)
     found = [double_shuffle_relation(a, b) for i, a in enumerate(basis) for b in basis[i:]]

@@ -23,7 +23,9 @@ pass: each row in runs of ``_RUN`` values in float64, and the run totals and
 the carry from the previous stretch in ``np.longdouble``, extended precision
 where the platform has it.  Blocked summation like this keeps the error near
 ``(_RUN + N / _RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci.
-Comput. 1993).  The cost is O(distinct suffixes * N) instead of O(N**depth).
+Comput. 1993).  A row interleaves its two halves, so one accumulate on its
+complex128 view, whose add is two float64 adds, sums two runs at once.  The
+cost is O(distinct suffixes * N) instead of O(N**depth).
 
 The sweep advances through ``n`` in stretches that end at every cutoff and
 span at most ``_PIECE`` values.  Each stretch takes the batch in chunks of
@@ -90,12 +92,13 @@ rather than raising.  Partial sums that overflow float64 raise
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 from operator import mul
 
 from .algebra import Composition, LinComb, _clip, _Record, composition, depth, format_composition as _fmt
@@ -170,38 +173,42 @@ def _trie(chunk, shared, power_row):
     return [node[comp] for comp in chunk], (suffixes, which, parent, bounds)
 
 
-def _workspace(first, count, width, powers, block):
-    """This thread's workspace for the stretch of ``count`` values of ``n``
-    from ``first``, padded to ``width``: views ``(ms, table, sums, shifted)``
-    of one float64 buffer.  ``ms`` holds the values of ``n`` (``first`` plus
-    a cached step vector), ``table`` has ``powers`` rows and ``sums``
-    ``block`` rows of ``width``, and ``shifted`` holds lists of row views: of
-    ``table`` and of ``sums`` from their second column on, and of ``sums`` up
-    to its last but one.  The buffer grows to the largest size its thread has
-    asked for and is never shrunk; numpy releases the GIL inside ufuncs, so
-    threads must not share it.  The lists are cut from row views of the
-    buffer kept for each width, as many rows as asked for at that width so
-    far; they are dropped before the buffer grows, so a replaced buffer is
-    never kept alive.
+def _workspace(first, width, powers, block):
+    """This thread's workspace for the stretch of ``width`` values of ``n``
+    from ``first``: views ``(ms, table, sums, shifted)`` of one float64
+    buffer.  A row holds offset ``c`` at ``[c % h, c // h]`` of ``(h, 2)``,
+    ``h = width // 2``: run ``q`` and run ``q + runs / 2`` share its
+    complex128 view.  ``ms`` holds the values of ``n`` (a cached step vector
+    of length ``h`` plus ``first`` and ``first + h``), ``table`` has
+    ``powers`` rows of ``width``, ``sums`` is ``(block, h, 2)``, and
+    ``shifted`` holds lists of row views that line each offset up with the
+    one before it: of ``table`` and of ``sums`` without their first pair,
+    and of ``sums`` without its last pair.  The buffer grows to the largest
+    size its thread has asked for and is never shrunk; numpy releases the
+    GIL inside ufuncs, so threads must not share it.  The lists are cut from
+    row views of the buffer kept for each width, as many rows as asked for
+    at that width so far; they are dropped before the buffer grows, so a
+    replaced buffer is never kept alive.
     """
     import numpy as np
 
-    rows = 1 + powers + block
+    rows, half = 1 + powers + block, width // 2
     size = rows * width
     if len(getattr(_LOCAL, "buf", ())) < size:
         _LOCAL.views = {}
         _LOCAL.buf = ()  # the old buffer is freed before the new one exists
         _LOCAL.buf = np.empty(size)
-    if len(getattr(_LOCAL, "steps", ())) < count:
-        _LOCAL.steps = np.arange(count, dtype=np.float64)
+    if len(getattr(_LOCAL, "steps", ())) < half:
+        _LOCAL.steps = np.arange(half, dtype=np.float64)
     whole = _LOCAL.buf[:size].reshape(rows, width)
     views = _LOCAL.views.get(width)
     if views is None or len(views[0]) < rows:
-        views = _LOCAL.views[width] = list(whole[:, 1:]), list(whole[:, :-1])
+        views = _LOCAL.views[width] = list(whole[:, 2:]), list(whole[:, :-2])
     after, before = views
-    ms = np.add(_LOCAL.steps[:count], first, out=whole[0, :count])
+    for col, start in enumerate((first, first + half)):
+        np.add(_LOCAL.steps[:half], start, out=whole[0, col::2])
     shifted = after[1 : 1 + powers], after[1 + powers : rows], before[1 + powers : rows]
-    return ms, whole[1 : 1 + powers], whole[1 + powers :], shifted
+    return whole[0], whole[1 : 1 + powers], whole[1 + powers :].reshape(block, half, 2), shifted
 
 
 def _sweep_trie(trie, table, carries, sums, shifted):
@@ -212,17 +219,19 @@ def _sweep_trie(trie, table, carries, sums, shifted):
     stretch, and ``carries`` maps a suffix to its level's sum just below the
     stretch (absent means zero, as at ``n = 1``).  Node ``i`` gets row ``i``
     of ``sums``, where its float64 partial sums over the stretch go; a
-    parent's row comes before its children's.  ``shifted`` holds the row
-    views of ``_workspace``.  Returns ``ends``, each row's last sum in
-    extended precision.  The stretch is a whole number of runs of ``_RUN``
-    values.  Terms and each run's running sums are float64; only the prefix
-    sums of the run totals and the carries are ``np.longdouble``, and each
-    run gets its preceding total back as float64.  Every operation acts
-    along one row.
+    parent's row comes before its children's.  Rows and ``shifted`` are
+    ``_workspace``'s.  Returns ``ends``, each row's last sum in extended
+    precision.  The stretch is a whole number of pairs of runs of ``_RUN``
+    values.  Terms and each run's running sums are float64: a complex add is
+    two float64 adds, so one accumulate on a row's complex128 view sums two
+    runs by the operations of summing each alone.  Only the prefix sums of
+    the run totals and the carries are ``np.longdouble``, and each run gets
+    its preceding total back as float64.  Every operation acts along one row.
 
     Nothing the size of a row is allocated: a first-level row is summed
     straight from its table row, and a row above it is formed in place from
-    the shifted views, its first term coming from one product per chunk.
+    the shifted views, its terms at offsets ``0`` and ``h`` coming from one
+    product per chunk and one per level.
     """
     import numpy as np
 
@@ -235,24 +244,29 @@ def _sweep_trie(trie, table, carries, sums, shifted):
     firsts = table[which, 0] * below[parent]  # used above the first level only
     ends = np.empty(len(suffixes), dtype=np.longdouble)
     terms, after, before = shifted
+    pairs = sums.shape[1] // _RUN
     lo = 0
     for hi in bounds:
         level = sums[lo:hi]
-        runs = level.reshape(hi - lo, -1, _RUN)
+        runs = level.view(np.complex128).reshape(hi - lo, pairs, _RUN)
         if lo:  # above the first level (B_0 = 1): terms times B_{j-1}(n - 1)
             for w, p, row in zip(which[lo:hi], parent[lo:hi], after[lo:hi]):
                 np.multiply(terms[w], before[p], out=row)
-            level[:, 0] = firsts[lo:hi]
+            level[:, 0, 0] = firsts[lo:hi]
+            level[:, 0, 1] = table[which[lo:hi], 1] * sums[parent[lo:hi], -1, 0]
             np.add.accumulate(runs, axis=2, out=runs)
         else:
             for w, row in zip(which[:hi], runs):
-                np.add.accumulate(table[w].reshape(-1, _RUN), axis=1, out=row)
-        totals = np.add.accumulate(runs[:, :, -1], axis=1, dtype=np.longdouble)
+                np.add.accumulate(table[w].view(np.complex128).reshape(pairs, _RUN), axis=1, out=row)
+        last = runs[:, :, -1]  # each run's sum: run q in the real parts, run q + pairs in the imaginary
+        totals = np.add.accumulate(np.hstack((last.real, last.imag)), axis=1, dtype=np.longdouble)
         if carries:
             totals += starts[lo:hi, None]
-            runs[:, 0] += below[lo:hi, None]
         ends[lo:hi] = totals[:, -1]
-        runs[:, 1:] += totals[:, :-1, None].astype(np.float64)
+        fix = np.empty((hi - lo, pairs), np.complex128)  # what each run gets
+        fix.real[:, 0] = below[lo:hi] if carries else -0.0  # -0.0 leaves every sum as it is
+        fix.real[:, 1:], fix.imag = totals[:, : pairs - 1], totals[:, pairs - 1 : -1]
+        runs += fix[:, :, None]
         lo = hi
     return ends
 
@@ -268,8 +282,9 @@ def _advance(comps, pos, target, carries, grid, out):
     chunks and tries of a stretch depend only on its width, so each width's
     ``_plan`` is built once per call.  Each stretch works in this thread's
     workspace (see ``_workspace``), so a sweep allocates nothing the size of
-    a stretch once the workspace has grown.  ``ValueError`` names any
-    composition whose sums in ``out`` are not finite.
+    a stretch once the workspace has grown; zero terms pad it to whole run
+    pairs.  ``ValueError`` names any composition whose sums in ``out`` are
+    not finite.
     """
     import numpy as np
 
@@ -283,21 +298,22 @@ def _advance(comps, pos, target, carries, grid, out):
             count = min(_PIECE, target + 1 - first)
             lo, hi = np.searchsorted(grid, [first, first + count])
             cols = grid[lo:hi] - first
-            width = -(-count // _RUN) * _RUN  # zero terms pad a whole number of runs
+            width = -(-count // (2 * _RUN)) * 2 * _RUN  # zero terms pad whole run pairs
             budget = max(1, _BLOCK_BYTES // (8 * width))
             if budget not in plans:
                 plans[budget] = _plan(comps, budget, power_row)
             # one block serves every chunk: a chunk has at most budget rows, or
             # one composition's, and never more than the batch's entries
             block = min(max(budget, longest), entries)
-            ms, table, sums, shifted = _workspace(first, count, width, len(powers), block)
-            table[:, count:] = 0
+            ms, table, sums, shifted = _workspace(first, width, len(powers), block)
             for i, power in enumerate(powers):
-                np.power(ms, power, out=table[i, :count])
+                np.power(ms, power, out=table[i])
+            pad, half = table.reshape(len(powers), -1, 2), width // 2
+            pad[:, count:, 0] = pad[:, max(0, count - half) :, 1] = 0
             swept = {}
             for start, stop, rows, trie in plans[budget]:
                 swept.update(zip(trie[0], _sweep_trie(trie, table, carries, sums, shifted)))
-                out[start:stop, lo:hi] = sums[:, cols][rows]
+                out[start:stop, lo:hi] = sums[:, cols % half, cols // half][rows]
             carries = swept
     bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
     if bad:
@@ -448,14 +464,18 @@ def _check_cap(name, value):
 
 
 def _check_numeric(tol, max_n):
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    """``float(tol)`` once ``tol``, a real number but not a bool, and ``max_n`` are checked."""
+    if not isinstance(tol, Real) or isinstance(tol, bool):
+        raise TypeError(f"tolerance must be a real number, got {_clip(repr(tol))}")
+    if not 0 < tol <= sys.float_info.max:
+        raise ValueError(f"tolerance must be positive and finite, got {_clip(tol)}")
     _check_cap("max_n", max_n)
     if max_n <= _START_N:
         raise ValueError(
             f"max_n must exceed {_START_N}, the first cutoff, so that the sweep can "
             f"double past it; got {_clip(max_n)}"
         )
+    return float(tol)
 
 
 def _evaluate(comps, tol, max_n):
@@ -501,9 +521,10 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     reported as ``converged=False``, not an exception.  ``tol`` must be
     positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``
     and be at most ``2**53``, where float64 ``n`` stops being exact; otherwise
-    ``ValueError`` (``TypeError`` for a ``max_n`` that is not an integer, or is
-    a bool).  Only then does a divergent ``comp`` raise ``DivergentError``.
-    This is ``_combine`` of the basis element ``comp``.
+    ``ValueError`` (``TypeError`` for a ``tol`` that is not a real number or a
+    ``max_n`` that is not an integer, or for a bool).  Only then does a
+    divergent ``comp`` raise ``DivergentError``.  This is ``_combine`` of the
+    basis element ``comp``.
     """
     return _combine([LinComb.basis(composition(comp))], tol, max_n)[0]
 
@@ -519,7 +540,7 @@ def _combine(xs, tol, max_n):
     """``zeta_of_lincomb`` of each combination in the list ``xs``, once
     ``tol`` and ``max_n`` are checked.  The terms not in the memo go to
     ``_evaluate``, its only caller, in one batch that holds each once."""
-    _check_numeric(tol, max_n)
+    tol = _check_numeric(tol, max_n)
     memo = _MEMO.setdefault((tol, max_n), {})
     terms = [x.terms() for x in xs]
     missing = dict.fromkeys(comp for pairs in terms for comp, _ in pairs if comp not in memo)
@@ -572,7 +593,7 @@ def verify_homomorphism(
     """
     a = composition(a)
     b = composition(b)
-    _check_numeric(tol, max_n)
+    tol = _check_numeric(tol, max_n)
     require_convergent(a, b)
     expansion = ext_shuffle(a, b)
     lhs, za, zb = _combine([expansion, LinComb.basis(a), LinComb.basis(b)], tol, max_n)

@@ -3,9 +3,12 @@
 This is the sweep ``extshuffle.zeta`` used before it formed each level's
 terms in place in a reused workspace.  Every stretch allocates a fresh power
 table and block, and every level gathers its table rows and its parents'
-shifted sums into row-sized temporaries.  It performs the same float64 and
-long-double operations in the same order as the package's sweep, so the two
-must agree bit for bit.  The chunking is the set-based one the package
+shifted sums into row-sized temporaries.  Its rows keep the natural order of
+``n`` and are summed run by run with ``np.cumsum``, where the package
+interleaves each row's halves and sums two runs per complex128 add, padding
+the stretch with a zero run to whole run pairs.  Each run still sees the
+same float64 and long-double operations in the same order, so the two must
+agree bit for bit.  The chunking is the set-based one the package
 used before it planned each batch from the shared suffixes of its sorted
 compositions, so the package's chunk boundaries are checked against it; the
 constants are the package's, which the two sweeps share by design.

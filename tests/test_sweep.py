@@ -19,8 +19,10 @@ from reference_sweep import reference_advance, reference_chunks
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
 
-# run edges (256), stretch edges (2**16) and a last stretch that is no whole number of runs
-CUTOFFS = [1, 255, 256, 257, 65_536, 65_537, 70_001, 131_073]
+# run edges (256), stretch edges (2**16), a last stretch that is no whole number
+# of runs, and stretches of 3 runs (767, and 66_049 after a whole one) whose
+# run pairs end in a zero run
+CUTOFFS = [1, 255, 256, 257, 767, 65_536, 65_537, 66_049, 70_001, 131_073]
 
 # zeta(2,1,1,1) needs 2**18 at 1e-10 and shares its suffixes with members
 # that leave the batch at cutoffs from 2**10 to 2**16
@@ -139,10 +141,10 @@ def test_a_grown_workspace_keeps_nothing_of_its_old_buffer():
     freed = []
 
     def grow():  # in a thread of its own, whose workspace starts empty
-        _workspace(1, 256, 256, 2, 2)
+        _workspace(1, 256, 2, 2)
         old = weakref.ref(ZETA_MODULE._LOCAL.buf)
-        _, _, sums, _ = _workspace(1, 512, 512, 2, 8)  # another width
-        freed.append(old() is None and sums.shape == (8, 512))
+        _, _, sums, _ = _workspace(1, 512, 2, 8)  # another width
+        freed.append(old() is None and sums.shape == (8, 256, 2))
 
     thread = threading.Thread(target=grow)
     thread.start()

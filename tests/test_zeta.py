@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import warnings
@@ -14,6 +15,7 @@ from extshuffle import (
     ChenSymbol,
     UNIT,
     ZetaEstimate,
+    enumerate_relations,
     ext_shuffle,
     LinComb,
     verify_homomorphism,
@@ -565,3 +567,28 @@ def test_constant_rows_scale_a_subnormal_entry_exactly():
     expected = reference_rows(columns, prec=120)
     assert rows[0] == [0.2] * 5
     assert np.abs(np.array(rows) - expected).max() <= 1e-15
+
+
+def test_a_numpy_tolerance_leaks_no_numpy_types_and_a_bool_one_is_rejected(monkeypatch):
+    # tol / 2 of an np.float64 made each converged flag a numpy.bool, and the
+    # memo, keyed by the equal float, handed it to later float callers
+    monkeypatch.setattr(ZETA_MODULE, "_MEMO", {})
+    zeta((3,), np.float64(1e-3))
+    est = zeta((3,), 1e-3)
+    assert type(est.converged) is bool
+    json.dumps(est._asdict())
+    report = verify_homomorphism((2,), (3,), np.float64(1e-3))
+    assert type(report.passed) is bool and type(report.tolerance) is float
+    scan = enumerate_relations(1, (2, 3), np.float64(1e-3))
+    assert scan.relations and all(type(rel.passed) is bool for rel in scan.relations)
+    for tol in (True, False, np.True_, "1e-3"):
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
+            zeta((2,), tol)
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
+            zeta_of_lincomb(LinComb.zero(), tol)
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
+            verify_homomorphism((2,), (3,), tol)
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
+            enumerate_relations(1, (2, 3), tol)
+    with pytest.raises(ValueError, match=r"tolerance must be positive and finite, got 1000000000.*\.\.\.$"):
+        zeta((2,), 10**400)
