@@ -5,12 +5,15 @@ failing check (a relation scan fails if any relation does), a divergent
 composition, a vanishing denominator, a non-converged result, or a reader
 that closed standard output early; 2 on usage errors (unparseable or bad
 arguments, checked before convergence, and inputs too large for the process
-to compute).  All data output is deterministic given the flags.
+to compute).  All data output is deterministic given the flags, and exact
+output is never cut: the interpreter's limit on digits in int-to-text
+conversion is lifted while results are formatted, not while input is parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,9 +35,25 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
+@contextlib.contextmanager
+def _exact_text():
+    """Format exact results of any length: lift the interpreter's digit limit
+    on int-to-text conversion, where it has one, and restore it after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_product(args) -> int:
     result = args.product(args.parse(args.a), args.parse(args.b))
-    print(json.dumps(result.to_json_dict()) if args.json else result)
+    with _exact_text():
+        print(json.dumps(result.to_json_dict()) if args.json else result)
     return 0
 
 
@@ -47,28 +66,27 @@ def _cmd_fraction_eval(args) -> int:
                 raise ValueError(f"variable {_clip(index)} is assigned more than once")
             point[index] = value
         value = evaluate(frac, point)
-        if args.json:
-            print(json.dumps({"fraction": str(frac), "value": str(value)}))
-        else:
-            print(value)
+        with _exact_text():
+            print(json.dumps({"fraction": str(frac), "value": str(value)}) if args.json else value)
         return 0
     # no explicit point: evaluate across the seeded panel
     panel = evaluation_panel(variables(frac), seed=args.seed)
     rows = []
-    for point in panel:
-        value = evaluate(frac, point)
-        rows.append(
-            {
-                "point": {str(i): str(v) for i, v in sorted(point.items())},
-                "value": str(value),
-            }
-        )
-    if args.json:
-        print(json.dumps({"fraction": str(frac), "panel": rows}))
-    else:
-        for row in rows:
-            assignments = " ".join(f"{i}={v}" for i, v in row["point"].items())
-            print(f"{row['value']}\tat {assignments if assignments else '(no variables)'}")
+    with _exact_text():
+        for point in panel:
+            value = evaluate(frac, point)
+            rows.append(
+                {
+                    "point": {str(i): str(v) for i, v in sorted(point.items())},
+                    "value": str(value),
+                }
+            )
+        if args.json:
+            print(json.dumps({"fraction": str(frac), "panel": rows}))
+        else:
+            for row in rows:
+                assignments = " ".join(f"{i}={v}" for i, v in row["point"].items())
+                print(f"{row['value']}\tat {assignments if assignments else '(no variables)'}")
     return 0
 
 

@@ -35,17 +35,22 @@ two cases at ``m = 0`` and ``n = 0``, each reduced to its one ``J^0`` term:
     + sum_{i=1..s1} C(t1-1+s1-i, t1-1) I^(s1+t1-i) [0, [i,a'] x b']
 
 The product is not commutative, so the ``t1 <= 0`` sums are not the
-``s1 <= 0`` sum with the factors swapped.
+``s1 <= 0`` sum with the factors swapped.  Each sum steps its binomials
+from the term before, with one multiplication and one exact division, not
+one ``comb`` per term: the two Leibniz rows along the bottom, with the sign
+folded in, the other three along the top with the bottom fixed.
 
 Termination: every case needs only pairs whose depth sum is one less, so
 the product descends by depth only, and each sum visits a number of pairs
-linear in the leading entries.  ``_cases`` yields the pairs it needs, and
-``_product`` drives it on an explicit stack, not the interpreter's
-recursion: the stack holds one frame per unit of depth sum at most, so no
-recursion limit bounds the depth sum.  Every result term has depth equal to
-the sum of the factors' depths, and the restriction to compositions with all
-entries >= 1 agrees with the classical word shuffle pulled back along the
-encoding ``rho`` (implemented independently below as an oracle).
+linear in the leading entries.  ``_cases`` sees only nonempty factors and
+yields the pairs it needs; ``_product`` answers a unit product (an empty
+factor) itself, and drives ``_cases`` on an explicit stack, not the
+interpreter's recursion: the stack holds one frame per unit of depth sum at
+most, so no recursion limit bounds the depth sum.  Every result term has
+depth equal to the sum of the factors' depths, and the restriction to
+compositions with all entries >= 1 agrees with the classical word shuffle
+pulled back along the encoding ``rho`` (implemented independently below as
+an oracle).
 
 One engine serves compositions and Chen symbols.  It works on flat terms of
 stride ``r``: a composition ``(s1, s2, ...)`` has ``r = 1``, and a Chen
@@ -56,12 +61,12 @@ each zero peeled off a factor keeps that factor's first label.  Basis
 products have integer coefficients.  One plain dict, ``_MEMO``, memoizes
 them, keyed by both terms and the stride, and ``ext_shuffle`` hands out its
 values as they are.  It keeps the product a caller asked for and each
-sub-product its build asked for a second time; the build keeps the rest in
-a dict of its own, read after ``_MEMO`` and dropped when the build ends, as
-most sub-products are asked for once.  A map is stored only once complete,
-so an error raised mid-build leaves no partial value; threads share
-``_MEMO``, each with its own stack and build dict, and a lost race only
-recomputes a value.
+sub-product its build asked for a second time, but never a unit product;
+the build keeps the rest in a dict of its own, read after ``_MEMO`` and
+dropped when the build ends, as most sub-products are asked for once.  A
+map is stored only once complete, so an error raised mid-build leaves no
+partial value; threads share ``_MEMO``, each with its own stack and build
+dict, and a lost race only recomputes a value.
 
 A sum that may meet keys already stored adds through ``algebra._merge``,
 which drops what cancels: the second ``s1, t1 > 0`` sum (its heads are the
@@ -97,14 +102,13 @@ def _put(out, coef, head, terms):
 
 
 def _cases(a, b, r):
-    """The three sign cases for two flat terms of stride ``r``, whose ``J^0``
-    terms are the zero-peeling rules, as a generator: it yields each
+    """The three sign cases for two nonempty flat terms of stride ``r``, whose
+    ``J^0`` terms are the zero-peeling rules, as a generator: it yields each
     sub-product it needs as ``(x, y, r)``, is sent that product's map, and
-    returns its own map, which is never mutated once built."""
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
+    returns its own map, which is never mutated once built.  Each sum steps
+    its binomials from the term before: the two Leibniz rows along the
+    bottom, the other three along the top, started one step early from
+    ``C(top, bottom)`` so that no step divides by zero."""
     s1, t1 = a[0], b[0]
     left, left_lab = a[r:], a[1:r]
     right, right_lab = b[r:], b[1:r]
@@ -112,28 +116,31 @@ def _cases(a, b, r):
     # every sub-product below has a smaller depth sum (the termination
     # measure); within each sum the heads differ, and so do the keys
     if s1 <= 0:
-        m = -s1
+        m, ck = -s1, 1
         for k in range(m + 1):
-            ck = (-1) ** k * comb(m, k)
             _put(out, ck, (k - m,) + left_lab, (yield left, (t1 - k,) + b[1:], r))
+            ck = -ck * (m - k) // (k + 1)
         return out
     if t1 <= 0:
         # the first sum's heads are below s1 - n, the second's are not
-        n = -t1
+        n, ck = -t1, 1
         for k in range(min(s1 - 1, n) + 1):
-            ck = (-1) ** k * comb(n, k)
             _put(out, ck, (k - n,) + right_lab, (yield (s1 - k,) + a[1:], right, r))
+            ck = -ck * (n - k) // (k + 1)
+        cj = (-1) ** s1 * comb(n, s1 - 1)
         for j in range(n - s1 + 1):
-            cj = (-1) ** s1 * comb(n - 1 - j, s1 - 1)
+            cj = cj * (n - j - s1 + 1) // (n - j)
             _put(out, cj, (s1 + j - n,) + left_lab, (yield left, (-j,) + b[1:], r))
         return out
     w = s1 + t1
+    cj = comb(w - 1, s1 - 1)
     for j in range(1, t1 + 1):
-        cj = comb(w - j - 1, s1 - 1)
+        cj = cj * (w - j - s1 + 1) // (w - j)
         _put(out, cj, (w - j,) + left_lab, (yield left, (j,) + b[1:], r))
     # the two sums share heads, so at stride 1 their terms merge
+    ci = comb(w - 1, t1 - 1)
     for i in range(1, s1 + 1):
-        ci = comb(w - i - 1, t1 - 1)
+        ci = ci * (w - i - t1 + 1) // (w - i)
         head = (w - i,) + right_lab
         sub = yield (i,) + a[1:], right, r
         _merge(out, ((head + term, ci * c) for term, c in sub.items()))
@@ -142,12 +149,16 @@ def _cases(a, b, r):
 
 _MEMO: dict = {}
 """The basis products callers asked for, and the sub-products a build asked
-for twice, keyed by ``(a, b, r)``."""
+for twice, keyed by ``(a, b, r)``; never a unit product."""
 
 
 def _product(a, b, r):
-    """Product of two flat terms of stride ``r``, from ``_MEMO`` or built by
-    driving ``_cases`` on an explicit stack, so no depth sum is too deep."""
+    """Product of two flat terms of stride ``r``: a unit product answered at
+    once, else from ``_MEMO`` or built by driving ``_cases`` on an explicit
+    stack, so no depth sum is too deep.  A needed unit product is answered
+    the same way, without a frame or a memo lookup, and is never stored."""
+    if not a or not b:
+        return {a or b: 1}
     done = _MEMO.get((a, b, r))
     if done is not None:
         return done
@@ -160,6 +171,10 @@ def _product(a, b, r):
         except StopIteration as stop:
             stack.pop()
             done = built[key] = stop.value
+            continue
+        x, y, _ = need
+        if not x or not y:
+            done = {x or y: 1}
             continue
         done = _MEMO.get(need)
         if done is None:

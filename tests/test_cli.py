@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -510,3 +511,51 @@ def test_module_entry_point_returns_the_exit_code(argv, code):
     done = _python("-m", "extshuffle", *argv, capture_output=True)
     assert done.returncode == code
     assert done.stderr.decode().startswith("error:") == (code != 0)
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    """The interpreter's lowest limit on digits in int-to-text conversion,
+    restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("shuffle", "[-2200]", "[5]"),
+            lambda: {(k - 2200, 5 - k): (-1) ** k * comb(2200, k) for k in range(2201)},
+        ),
+        (("fraction-eval", "f([-300];[1])", "1=99999999"), lambda: 99999999**300),
+    ],
+    ids=["shuffle", "fraction-eval"],
+)
+def test_exact_output_over_the_digit_limit_is_printed_whole(capsys, lowest_digit_limit, argv, expected):
+    # the results hold integers of over 640 digits; they print whole, as text
+    # and as JSON, and the limit stays in force for parsed input
+    text, as_json = run(capsys, *argv), run(capsys, *argv, "--json")
+    assert sys.get_int_max_str_digits() == lowest_digit_limit
+    code, _, err = run(capsys, "convergent", "[" + "9" * (lowest_digit_limit + 1) + "]")
+    assert code == 2 and "digits" in err
+    sys.set_int_max_str_digits(0)
+    assert text[0] == as_json[0] == 0 and text[2] == as_json[2] == ""
+    want = expected()
+    if argv[0] == "shuffle":
+        assert parse_lincomb(text[1].strip()) == LinComb(want.items())
+        assert {tuple(t["comp"]): int(t["coef"]) for t in json.loads(as_json[1])["terms"]} == want
+    else:
+        assert int(text[1]) == want and len(text[1].strip()) > 2000
+        assert json.loads(as_json[1])["value"] == str(want)
+
+
+def test_a_40000_digit_value_prints_at_the_default_digit_limit():
+    # a fresh process at the interpreter's default limit of 4,300 digits
+    done = _python("-m", "extshuffle", "fraction-eval", "f([-5000];[1])", "1=99999999", capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    out = done.stdout.decode()
+    assert out.endswith("\n") and out[:-1].isdigit() and len(out) == 40001
+    assert int(out[-51:]) == pow(99999999, 5000, 10**50)

@@ -7,9 +7,11 @@ the unit-step recursion: it descends by depth only.
 """
 
 import os
+import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -99,6 +101,49 @@ def test_symbol_engine_projects_onto_word_shuffle(pair):
     projected = phi_project(symbol_product(a, b))
     encoded = {rho_encode(comp): c for comp, c in projected.items()}
     assert encoded == word_shuffle(rho_encode(a.exponents), rho_encode(b.exponents))
+
+
+# ---------------------------------------------------------------------------
+# the stepped binomial rows at their edges: each sum's first and last term,
+# the empty rows, s1 = 1 and t1 = 1, under depth-1 and depth-2 tails
+
+
+def _row_edge_pairs():
+    heads = []
+    for s1 in (0, -1, -5):  # the s1 <= 0 row, m = 0, 1 and 5
+        heads += [(s1, t1) for t1 in (-2, 0, 1, 3)]
+    for s1 in (1, 2, 4):  # the t1 <= 0 rows: n = 0, s1 - 1, s1, s1 + 1 and 6
+        heads += [(s1, -n) for n in sorted({0, s1 - 1, s1, s1 + 1, 6})]
+    heads += [(1, 1), (1, 5), (5, 1), (3, 4)]  # the two Euler rows
+    tails = [((), ()), ((2, -1), ()), ((), (-2, 1)), ((0,), (3, 0))]
+    return [((s1,) + ta, (t1,) + tb) for s1, t1 in heads for ta, tb in tails]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_stepped_rows_match_the_reference_at_their_edges(stride):
+    # a cold memo, so every row is stepped here and not read from an earlier
+    # product
+    with mock.patch.object(shuffle, "_MEMO", {}):
+        for a, b in _row_edge_pairs():
+            if stride == 1:
+                assert terms(ext_shuffle(a, b)) == reference_shuffle(a, b), (a, b)
+            else:
+                sa, sb = lift(a, b)
+                result = {(s.exponents, s.labels): c for s, c in symbol_product(sa, sb).items()}
+                assert result == reference_product((a, sa.labels), (b, sb.labels)), (a, b)
+
+
+def test_a_long_leibniz_row_is_stepped_not_recomputed():
+    # 15,001 calls of comb(15000, k), one per term, take seconds; the stepped
+    # row takes a fraction of one
+    with mock.patch.object(shuffle, "_MEMO", {}):
+        start = time.perf_counter()
+        product = terms(ext_shuffle((-15000,), (5,)))
+        elapsed = time.perf_counter() - start
+    assert elapsed < 5, elapsed
+    assert list(product) == [(k - 15000, 5 - k) for k in range(15001)]
+    for k in random.Random(15000).sample(range(15001), 50) + [0, 1, 7500, 14999, 15000]:
+        assert product[k - 15000, 5 - k] == (-1) ** k * comb(15000, k), k
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +409,8 @@ _RETENTION_PRODUCTS = {
 def test_the_memo_keeps_the_asked_product_and_what_its_build_asked_for_twice(stride):
     # from a fresh memo, one cold product leaves in the memo its own map and
     # each sub-product its build asked for twice; a sub-product asked for once
-    # goes with the build, and a later product that needs it builds it again
+    # goes with the build, and a later product that needs it builds it again;
+    # a unit product is answered by the driver and never stored
     code = (
         "from collections import Counter\n"
         "from extshuffle import ChenSymbol, ext_shuffle, shuffle, symbol_product\n"
@@ -384,10 +430,10 @@ def test_the_memo_keeps_the_asked_product_and_what_its_build_asked_for_twice(str
         + _RETENTION_PRODUCTS[stride]
         + f"r = {stride}\n"
         "assert product(a, b) == reference(a, b)\n"
-        "twice = {key for key, n in asked.items() if n > 1}\n"
+        "twice = {key for key, n in asked.items() if n > 1 and key[0] and key[1]}\n"
         "assert twice and set(shuffle._MEMO) == twice | {(a, b, r)}\n"
-        "assert len(built) == len(set(built))\n"
-        "once = [k for k in built if k[0] and k[1] and k not in shuffle._MEMO]\n"
+        "assert len(built) == len(set(built)) and all(k[0] and k[1] for k in built)\n"
+        "once = [k for k in built if k not in shuffle._MEMO]\n"
         "x, y, _ = max(once, key=lambda k: len(k[0]) + len(k[1]))\n"
         "built.clear()\n"
         "assert product(zero + x, y) == reference(zero + x, y)\n"
