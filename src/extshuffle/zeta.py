@@ -16,9 +16,10 @@ the sweep runs the trie level by level, level ``j`` as one 2-D block with a
 row per distinct suffix of length ``j``.  In that order the longest suffix a
 composition shares with any earlier one is the one it shares with its
 predecessor, so one pass over those shared lengths finds each one's new
-suffixes, and one dictionary numbers them as trie nodes.  A row's terms are
-``n**-s`` (from a table of the batch's distinct exponents) times its parent
-row shifted by one, formed in float64.  A level is summed in one vectorised
+suffixes, and one dictionary numbers them as trie nodes, whose table rows
+and parents are kept as index arrays.  A row's terms are ``n**-s`` (from a
+table of the batch's distinct exponents) times its parent row shifted by
+one, formed in float64.  A level is summed in one vectorised
 pass: each row in runs of ``_RUN`` values in float64, and the run totals and
 the carry from the previous stretch in ``np.longdouble``, extended precision
 where the platform has it.  Blocked summation like this keeps the error near
@@ -32,11 +33,15 @@ span at most ``_PIECE`` values.  Each stretch takes the batch in chunks of
 consecutive compositions whose tries hold at most ``_BLOCK_BYTES`` of
 float64 rows (a composition's own suffixes are never split, so one deep
 enough composition may exceed it).  Memory therefore stays bounded whatever
-the batch size.  The chunks and their tries depend only on the stretch's
-width, so the same pass plans them once per width for all stretches of a
-sweep.  Each thread sweeps in a workspace of its own: one float64 buffer of
-``(1 + powers + block rows) * stretch width`` that holds the values of
-``n``, the power table and the block, with the row views the sweep reads
+the batch size.  A chunk pass costs a fixed handful of numpy calls per level
+and one product per row besides its arithmetic, and most batches are short
+sweeps to the first cutoff, so the block is sized to take a typical batch
+whole: 256 rows of that cutoff's width, 1,024.  The chunks and their tries
+depend only on the stretch's width, so the same pass plans them once per
+width for all stretches of a sweep.  Each thread sweeps in a workspace of
+its own: one float64 buffer of ``(1 + powers + block rows) * stretch
+width``, about 2 MiB once a batch has filled a chunk, that holds the values
+of ``n``, the power table and the block, with the row views the sweep reads
 through.  It grows to the largest stretch its thread has swept, is never
 shrunk and lives as long as the thread.  A row's terms are formed in place
 in the block, so once the workspace has grown a sweep allocates nothing the
@@ -108,7 +113,11 @@ from .shuffle import ext_shuffle
 DEFAULT_MAX_N = 1 << 24
 _START_N = 1 << 10
 _PIECE = 1 << 16  # longest stretch of n swept at once
-_BLOCK_BYTES = 1 << 19  # float64 trie rows of one chunk over one stretch
+# float64 trie rows of one chunk over one stretch: at the first cutoff's width
+# of 1,024, 256 rows, so a certifier batch of up to a few hundred trie rows is
+# one or two chunk passes; at 64 rows a chunk the fixed cost of each pass and
+# level outweighed the arithmetic
+_BLOCK_BYTES = 1 << 21
 _RUN = 256  # values summed in float64 before a run total joins the long-double prefix
 _GRID_START = 64
 _GRID_PER_OCTAVE = 8
@@ -126,7 +135,8 @@ class ZetaEstimate(_Record, namedtuple("ZetaEstimate", "value cutoff est_error c
 
 def _plan(comps, budget, power_row):
     """The chunks of ``comps``, sorted by reversed entries, and their tries,
-    for blocks of ``budget`` rows: a list of ``(start, stop, rows, trie)``.
+    for blocks of ``budget`` rows: a list of ``(start, stop, rows, trie)``,
+    made once per stretch width and swept once per stretch.
 
     In that order the longest suffix a composition shares with any earlier
     one is the suffix it shares with its predecessor, so each composition
@@ -160,17 +170,21 @@ def _trie(chunk, shared, power_row):
     level in the order of its compositions; node ``i``'s terms are the table
     row ``which[i]``, ``n**-suffixes[i][0]``, times the sums of node
     ``parent[i]`` above the first level; and the end of each level.  One
-    dictionary by suffix numbers the nodes; ``rows[c]`` is ``chunk[c]``'s."""
+    dictionary by suffix numbers the nodes; ``rows[c]`` is ``chunk[c]``'s.
+    ``rows``, ``which`` and ``parent`` are index arrays, made once per plan
+    instead of converted from lists at every level of every sweep."""
+    import numpy as np
+
     levels = [[] for _ in range(max(map(len, chunk)))]
     for comp, k in zip(chunk, shared):
         for j in range(k + 1, len(comp) + 1):
             levels[j - 1].append(comp[-j:])
     suffixes = [s for level in levels for s in level]
     node = {s: i for i, s in enumerate(suffixes)}
-    which = [power_row[-s[0]] for s in suffixes]
-    parent = [node.get(s[1:], 0) for s in suffixes]  # 0 on the first level, which has none
+    which = np.array([power_row[-s[0]] for s in suffixes])
+    parent = np.array([node.get(s[1:], 0) for s in suffixes])  # 0 on the first level, which has none
     bounds = list(accumulate(map(len, levels)))
-    return [node[comp] for comp in chunk], (suffixes, which, parent, bounds)
+    return np.array([node[comp] for comp in chunk]), (suffixes, which, parent, bounds)
 
 
 def _workspace(first, width, powers, block):
@@ -211,9 +225,21 @@ def _workspace(first, width, powers, block):
     return whole[0], whole[1 : 1 + powers], whole[1 + powers :].reshape(block, half, 2), shifted
 
 
+@lru_cache(maxsize=64)
+def _first_powers(power):
+    """``n**power`` for ``n`` from 1 to ``_START_N`` in a workspace row's
+    order (see ``_workspace``), read-only as the cache shares it: the first
+    stretch of every estimate, whatever its batch."""
+    import numpy as np
+
+    row = np.power(np.arange(1.0, _START_N + 1).reshape(2, -1).T.ravel(), power)
+    row.flags.writeable = False
+    return row
+
+
 def _sweep_trie(trie, table, carries, sums, shifted):
     """Sweep ``trie``, a chunk's ``(suffixes, which, parent, bounds)`` from
-    ``_plan``, over a stretch of ``n``.
+    ``_trie``, over a stretch of ``n``.
 
     Row ``which[i]`` of ``table`` holds node ``i``'s power of ``n`` over the
     stretch, and ``carries`` maps a suffix to its level's sum just below the
@@ -231,44 +257,52 @@ def _sweep_trie(trie, table, carries, sums, shifted):
     Nothing the size of a row is allocated: a first-level row is summed
     straight from its table row, and a row above it is formed in place from
     the shifted views, its terms at offsets ``0`` and ``h`` coming from one
-    product per chunk and one per level.
+    product per chunk and one per level.  Beyond the products of its rows a
+    level takes a fixed handful of numpy calls: ``which`` and ``parent``
+    index without conversion, and one long-double array per chunk holds
+    each row's carry, then its run totals' prefix sums, from which the
+    level's runs get their float64 corrections and the chunk its ``ends``.
     """
     import numpy as np
 
     suffixes, which, parent, bounds = trie
-    if carries:
-        starts = np.array([carries.get(s, 0) for s in suffixes], dtype=np.longdouble)
-        below = starts.astype(np.float64)  # the carries, B(n - 1) at the first n, in float64
-    else:  # all zero at n = 1
-        below = np.zeros(len(suffixes))
-    firsts = table[which, 0] * below[parent]  # used above the first level only
-    ends = np.empty(len(suffixes), dtype=np.longdouble)
+    nodes, top = len(suffixes), bounds[0]
     terms, after, before = shifted
     pairs = sums.shape[1] // _RUN
+    # per row: its carry (-0.0 at n = 1, which leaves every sum as it is), then
+    # the prefix sums of its run totals, each with the carry added
+    totals = np.empty((nodes, 2 * pairs + 1), np.longdouble)
+    if carries:
+        totals[:, 0] = [carries.get(s, 0) for s in suffixes]
+        below = totals[:, 0].astype(np.float64)  # B(n - 1) at the first n, in float64
+    else:
+        totals[:, 0] = -0.0
+        below = np.zeros(nodes)
+    edges = table[which, :2]  # each node's terms at offsets 0 and h
+    sums[top:nodes, 0, 0] = edges[top:, 0] * below[parent[top:]]
+    runs = sums.view(np.complex128).reshape(len(sums), pairs, _RUN)
+    ws, ps = which.tolist(), parent.tolist()
     lo = 0
     for hi in bounds:
-        level = sums[lo:hi]
-        runs = level.view(np.complex128).reshape(hi - lo, pairs, _RUN)
+        level, t = runs[lo:hi], totals[lo:hi]
         if lo:  # above the first level (B_0 = 1): terms times B_{j-1}(n - 1)
-            for w, p, row in zip(which[lo:hi], parent[lo:hi], after[lo:hi]):
-                np.multiply(terms[w], before[p], out=row)
-            level[:, 0, 0] = firsts[lo:hi]
-            level[:, 0, 1] = table[which[lo:hi], 1] * sums[parent[lo:hi], -1, 0]
-            np.add.accumulate(runs, axis=2, out=runs)
+            for w, p, row in zip(ws[lo:hi], ps[lo:hi], after[lo:hi]):
+                np.multiply(terms[w], before[p], row)
+            sums[lo:hi, 0, 1] = edges[lo:hi, 1] * sums[parent[lo:hi], -1, 0]
+            np.add.accumulate(level, axis=2, out=level)
         else:
-            for w, row in zip(which[:hi], runs):
+            for w, row in zip(ws[:hi], level):
                 np.add.accumulate(table[w].view(np.complex128).reshape(pairs, _RUN), axis=1, out=row)
-        last = runs[:, :, -1]  # each run's sum: run q in the real parts, run q + pairs in the imaginary
-        totals = np.add.accumulate(np.hstack((last.real, last.imag)), axis=1, dtype=np.longdouble)
+        last = level[:, :, -1]  # each run's sum: run q in the real parts, run q + pairs in the imaginary
+        np.concatenate((last.real, last.imag), axis=1, out=t[:, 1:])
+        np.add.accumulate(t[:, 1:], axis=1, out=t[:, 1:])
         if carries:
-            totals += starts[lo:hi, None]
-        ends[lo:hi] = totals[:, -1]
+            t[:, 1:] += t[:, :1]
         fix = np.empty((hi - lo, pairs), np.complex128)  # what each run gets
-        fix.real[:, 0] = below[lo:hi] if carries else -0.0  # -0.0 leaves every sum as it is
-        fix.real[:, 1:], fix.imag = totals[:, : pairs - 1], totals[:, pairs - 1 : -1]
-        runs += fix[:, :, None]
+        fix.real, fix.imag = t[:, :pairs], t[:, pairs:-1]
+        level += fix[:, :, None]
         lo = hi
-    return ends
+    return totals[:, -1]
 
 
 def _advance(comps, pos, target, carries, grid, out):
@@ -280,9 +314,12 @@ def _advance(comps, pos, target, carries, grid, out):
     Returns the carries at ``target``.  Stretches of ``n`` end at ``target``
     and at every ``_PIECE``-th value after ``pos``, whatever the batch.  The
     chunks and tries of a stretch depend only on its width, so each width's
-    ``_plan`` is built once per call.  Each stretch works in this thread's
-    workspace (see ``_workspace``), so a sweep allocates nothing the size of
-    a stretch once the workspace has grown; zero terms pad it to whole run
+    ``_plan`` is built once per call, and each chunk is swept once per
+    stretch, its grid points read from its compositions' rows alone.  The
+    power table of the first stretch, the same for every batch, is copied
+    from ``_first_powers``.  Each stretch works in this thread's workspace
+    (see ``_workspace``), so a sweep allocates nothing the size of a
+    stretch once the workspace has grown; zero terms pad it to whole run
     pairs.  ``ValueError`` names any composition whose sums in ``out`` are
     not finite.
     """
@@ -307,16 +344,19 @@ def _advance(comps, pos, target, carries, grid, out):
             block = min(max(budget, longest), entries)
             ms, table, sums, shifted = _workspace(first, width, len(powers), block)
             for i, power in enumerate(powers):
-                np.power(ms, power, out=table[i])
+                if first == 1 and width == _START_N:  # where every estimate starts
+                    table[i] = _first_powers(power)
+                else:
+                    np.power(ms, power, out=table[i])
             pad, half = table.reshape(len(powers), -1, 2), width // 2
             pad[:, count:, 0] = pad[:, max(0, count - half) :, 1] = 0
             swept = {}
             for start, stop, rows, trie in plans[budget]:
                 swept.update(zip(trie[0], _sweep_trie(trie, table, carries, sums, shifted)))
-                out[start:stop, lo:hi] = sums[:, cols % half, cols // half][rows]
+                out[start:stop, lo:hi] = sums[rows[:, None], cols % half, cols // half]
             carries = swept
-    bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
-    if bad:
+    if not np.isfinite(out).all():
+        bad = [comp for comp, ok in zip(comps, np.isfinite(out).all(axis=1)) if not ok]
         more = f" (and {len(bad) - 1} more compositions)" if len(bad) > 1 else ""
         raise ValueError(f"partial sums of {_clip(_fmt(bad[0]))}{more} overflow float64 by n = {target}")
     return carries

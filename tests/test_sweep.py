@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from extshuffle import ext_shuffle, zeta_truncated
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _advance, _evaluate, _grid, _plan, _workspace
+from extshuffle.zeta import _BLOCK_BYTES, _advance, _evaluate, _grid, _plan, _sweep_trie, _workspace
 from reference_sweep import reference_advance, reference_chunks
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
@@ -29,9 +29,16 @@ CUTOFFS = [1, 255, 256, 257, 767, 65_536, 65_537, 66_049, 70_001, 131_073]
 MIXED = [(2, 1, 1, 1), (2,), (3,), (4, -1), (3, 1), (2, 1), (2, 1, 1), (3, 1, 1),
          (5, 1, 1, 1), (4, 1, 1, 1), (3, 1, 1, 1)]
 
-# 36 product terms with 89 trie nodes: more than the 64 rows of a chunk at width 1,024
-PAIRS = [((2, 1), (3, 0, 2)), ((3, 0, 1), (2, 1)), ((2, 1), (3, 1))]
+# the rows of one chunk at width 1,024, the first stretch of every estimate
+FIRST_ROWS = _BLOCK_BYTES // (8 * 1024)
+
+# 100 product terms with 276 trie nodes: more than one chunk at width 1,024
+PAIRS = [((2, 1), (3, 0, 2)), ((3, 0, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 0, 3), (3, 2, 0))]
 PRODUCTS = sorted({comp for a, b in PAIRS for comp in ext_shuffle(a, b).support()})
+
+# one product of the certifier's region (depth 3, entries -1 to 3): 147
+# terms on 383 trie nodes, every one estimated at the first cutoff at 1e-4
+CERTIFIER_BATCH = sorted(ext_shuffle((3, 3, 1), (3, 1, 3)).support(), key=lambda c: c[::-1])
 
 convergent = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(tuple).filter(is_convergent)
 
@@ -80,10 +87,10 @@ def test_every_cutoff_is_bitwise_the_reference():
 @settings(max_examples=10)
 @given(st.lists(convergent, min_size=1, max_size=10))
 def test_chunked_sweep_with_carries_is_bitwise_the_reference(comps):
-    # more than 64 trie nodes split the batch into chunks at width 1,024;
-    # the targets carry the sums across cutoffs and stretches
+    # more trie nodes than FIRST_ROWS split the batch into chunks at width
+    # 1,024; the targets carry the sums across cutoffs and stretches
     comps = sorted(set(comps) | set(PRODUCTS), key=lambda c: c[::-1])
-    assert trie_nodes(comps) > 64
+    assert trie_nodes(comps) > FIRST_ROWS
     grid = _grid(1 << 17)
     new, old = np.zeros((len(comps), len(grid))), np.zeros((len(comps), len(grid)))
     carries = old_carries = {}
@@ -116,8 +123,26 @@ def test_mixed_cutoff_batch_is_bitwise_the_reference():
 @given(st.lists(convergent, min_size=1, max_size=12))
 def test_chunked_batch_is_bitwise_the_reference(comps):
     batch = comps + PRODUCTS
-    assert trie_nodes(batch) > 64
+    assert trie_nodes(batch) > FIRST_ROWS
     evaluate_both(batch, 1e-8, 1 << 14)
+
+
+def test_a_certifier_batch_takes_two_chunk_passes_and_matches_each_composition_alone(monkeypatch):
+    passes = []
+
+    def counted(trie, *args):
+        passes.append(trie[3][-1])  # the chunk's trie nodes
+        return _sweep_trie(trie, *args)
+
+    monkeypatch.setattr(ZETA_MODULE, "_sweep_trie", counted)
+    found = _evaluate(CERTIFIER_BATCH, 1e-4, 1 << 24)
+    monkeypatch.undo()
+    assert len(CERTIFIER_BATCH) == 147 and trie_nodes(CERTIFIER_BATCH) == 383
+    assert {est.cutoff for est in found.values()} == {1 << 10}
+    # 383 nodes fit two chunks of 256 rows; at 64 rows a chunk they take 7
+    assert len(passes) <= 2 and sum(passes) >= 383
+    for comp in CERTIFIER_BATCH:
+        assert bits(_evaluate([comp], 1e-4, 1 << 24)[comp]) == bits(found[comp]), comp
 
 
 def test_a_warm_sweep_allocates_nothing_the_size_of_a_stretch():
