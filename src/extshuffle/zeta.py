@@ -39,19 +39,25 @@ sweeps to the first cutoff, so the block is sized to take a typical batch
 whole: 256 rows of that cutoff's width, 1,024.  The chunks and their tries
 depend only on the stretch's width, so the same pass plans them once per
 width for all stretches of a sweep.  Each thread sweeps in a workspace of
-its own: one float64 buffer of ``(1 + powers + block rows) * stretch
-width``, about 2 MiB once a batch has filled a chunk, that holds the values
-of ``n``, the power table and the block, with the row views the sweep reads
-through.  It grows to the largest stretch its thread has swept, is never
-shrunk and lives as long as the thread.  A row's terms are formed in place
-in the block, so once the workspace has grown a sweep allocates nothing the
-size of a stretch.  The floating-point operations and their order are those
-of a sweep that gathers each level's table rows and parents into
-temporaries; the tests keep that sweep as a reference and check the two bit
-for bit.  Every row is computed by the same operations whatever else is in
-its batch, and each fit below uses only elementwise products and a sum along
-one row, so a composition's result is bitwise the same alone or in any
-batch.
+its own: one float64 buffer that holds the values of ``n``, the power table
+and the block, with the row views the sweep reads through.  At the first
+cutoff it has the ``(1 + powers + block rows) * 1,024`` values asked for,
+about 2 MiB once a batch has filled a chunk.  A wider stretch that needs
+more reserves room for a full block and an equally large power table,
+``(1 + 2 * budget) * width`` values (4.5 MiB at ``_PIECE``): deeper sweeps
+ask for more rows one after another, and each new buffer is faulted in by
+the kernel page by page, where one reservation of at least 4 MiB is faulted
+once, in huge pages where the kernel gives them.  The buffer is replaced
+only by a request larger than it, never shrunk, and lives as long as the
+thread, so a thread that has swept a wide stretch keeps 4.5 MiB.  A row's
+terms are formed in place in the block, so once the workspace has grown a
+sweep allocates nothing the size of a stretch.  The floating-point
+operations and their order are those of a sweep that gathers each level's
+table rows and parents into temporaries; the tests keep that sweep as a
+reference and check the two bit for bit.  Every row is computed by the same
+operations whatever else is in its batch, and each fit below uses only
+elementwise products and a sum along one row, so a composition's result is
+bitwise the same alone or in any batch.
 
 ``zeta`` extrapolates instead of summing to a distant cutoff.  A convergent
 series with integer entries has the truncation expansion
@@ -197,12 +203,15 @@ def _workspace(first, width, powers, block):
     ``powers`` rows of ``width``, ``sums`` is ``(block, h, 2)``, and
     ``shifted`` holds lists of row views that line each offset up with the
     one before it: of ``table`` and of ``sums`` without their first pair,
-    and of ``sums`` without its last pair.  The buffer grows to the largest
-    size its thread has asked for and is never shrunk; numpy releases the
-    GIL inside ufuncs, so threads must not share it.  The lists are cut from
-    row views of the buffer kept for each width, as many rows as asked for
-    at that width so far; they are dropped before the buffer grows, so a
-    replaced buffer is never kept alive.
+    and of ``sums`` without its last pair.  A buffer too small is replaced:
+    at the first cutoff's width by one of the size asked for, and past it by
+    one with room for a block of ``_BLOCK_BYTES`` and as many power rows, so
+    that a thread's deeper sweeps reuse it instead of replacing it at each
+    depth.  It is never shrunk; numpy releases the GIL inside ufuncs, so
+    threads must not share it.  The lists are cut from row views of the
+    buffer kept for each width, as many rows as asked for at that width so
+    far; they are dropped before the buffer grows, so a replaced buffer is
+    never kept alive.
     """
     import numpy as np
 
@@ -211,7 +220,9 @@ def _workspace(first, width, powers, block):
     if len(getattr(_LOCAL, "buf", ())) < size:
         _LOCAL.views = {}
         _LOCAL.buf = ()  # the old buffer is freed before the new one exists
-        _LOCAL.buf = np.empty(size)
+        # past the first cutoff, room for a full block and as large a power table
+        reserve = (1 + 2 * (_BLOCK_BYTES // (8 * width))) * width if width > _START_N else 0
+        _LOCAL.buf = np.empty(max(size, reserve))
     if len(getattr(_LOCAL, "steps", ())) < half:
         _LOCAL.steps = np.arange(half, dtype=np.float64)
     whole = _LOCAL.buf[:size].reshape(rows, width)
@@ -537,15 +548,17 @@ def _evaluate(comps, tol, max_n):
         grid = _grid(cutoff)
         at_grid = np.hstack([at_grid, np.empty((len(pending), len(grid) - at_grid.shape[1]))])
         carries = _advance(pending, pos, cutoff, carries, grid, at_grid)
-        by_depth = {}
+        by_depth, rest = {}, []
         for i, comp in enumerate(pending):
             by_depth.setdefault(len(comp), []).append(i)
         for k, rows in by_depth.items():
             values, errors = _extrapolate(at_grid[rows], cutoff, k)
             for i, value, error in zip(rows, values.tolist(), errors.tolist()):
                 if error < tol / 2 or cutoff == max_n:
-                    found[pending[i]] = ZetaEstimate(value, cutoff, error, error < tol / 2)
-        rest = [i for i, comp in enumerate(pending) if comp not in found]
+                    found[pending[i]] = tuple.__new__(ZetaEstimate, (value, cutoff, error, error < tol / 2))
+                else:
+                    rest.append(i)
+        rest.sort()  # back in the batch's order, by reversed entries
         pending = [pending[i] for i in rest]
         at_grid = at_grid[rest]
         pos, cutoff = cutoff, min(2 * cutoff, max_n)
@@ -590,12 +603,12 @@ def _combine(xs, tol, max_n):
     for pairs in terms:
         total, err, cutoff, converged = 0.0, 0.0, 0, True
         for comp, coef in pairs:
-            est = memo[comp]
+            value, cut, error, conv = memo[comp]
             c = float(coef)
-            total += c * est.value
-            err += abs(c) * est.est_error
-            cutoff = max(cutoff, est.cutoff)
-            converged = converged and est.converged
+            total += c * value
+            err += abs(c) * error
+            cutoff = max(cutoff, cut)
+            converged = converged and conv
         estimates.append(ZetaEstimate(total, cutoff, err, converged))
     return estimates
 

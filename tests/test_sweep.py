@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extshuffle import ext_shuffle, zeta_truncated
+from extshuffle import ext_shuffle, verify_homomorphism, zeta, zeta_truncated
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _BLOCK_BYTES, _advance, _evaluate, _grid, _plan, _sweep_trie, _workspace
+from extshuffle.zeta import _BLOCK_BYTES, _PIECE, _START_N, _advance, _evaluate, _grid, _plan, _sweep_trie, _workspace
 from reference_sweep import reference_advance, reference_chunks
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
@@ -175,6 +175,58 @@ def test_a_grown_workspace_keeps_nothing_of_its_old_buffer():
     thread.start()
     thread.join(timeout=60)
     assert freed == [True]
+
+
+def in_a_fresh_thread(work):
+    """Run ``work`` in a thread of its own, whose workspace starts empty,
+    with ``_workspace`` counted: returns each request's ``(width, rows)``,
+    each buffer it got that differs from the buffer before it, and the
+    length of the buffer it ends with."""
+    requests, buffers, final = [], [], []
+
+    def counted(first, width, powers, block):
+        views = _workspace(first, width, powers, block)
+        requests.append((width, 1 + powers + block))
+        buf = ZETA_MODULE._LOCAL.buf
+        if not buffers or buffers[-1]() is not buf:  # a replaced buffer is freed, so its ref is dead
+            buffers.append(weakref.ref(buf))
+        return views
+
+    def run():
+        with mock.patch.object(ZETA_MODULE, "_workspace", counted):
+            work()
+            final.append(len(ZETA_MODULE._LOCAL.buf))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and final
+    return requests, buffers, final[0]
+
+
+# the fixed-cutoff sweeps of a seed-1 series round of the benchmark, in order:
+# each asks for more rows of width 2**16 than the one before
+SERIES_SWEEPS = [(3,), (2,), (2, 4), (4, 3), (2, 4, 0), (4, -1, 3), (2, 2, 3, 0), (4, 1, 4, 4)]
+
+
+def test_a_wide_sweep_reserves_its_workspace_once():
+    requests, buffers, size = in_a_fresh_thread(lambda: [zeta_truncated(c, 1 << 18) for c in SERIES_SWEEPS])
+    assert {width for width, _ in requests} == {_PIECE}
+    assert len({rows for _, rows in requests}) > 2  # a buffer of the exact size would be replaced at each
+    assert len(buffers) == 1
+    # a full block and as large a power table
+    assert size == (1 + 2 * (_BLOCK_BYTES // (8 * _PIECE))) * _PIECE >= max(rows for _, rows in requests) * _PIECE
+
+
+def test_a_first_cutoff_workspace_keeps_its_exact_size():
+    def work():
+        with mock.patch.dict(ZETA_MODULE._MEMO, clear=True):  # so that both sweep
+            assert zeta((3, 1), 1e-3).cutoff == _START_N
+            assert verify_homomorphism((2,), (3,), 1e-3).passed
+
+    requests, buffers, size = in_a_fresh_thread(work)
+    assert {width for width, _ in requests} == {_START_N} and len(requests) == 2
+    assert size == max(rows for _, rows in requests) * _START_N
 
 
 def test_threads_sweep_in_their_own_workspaces():
