@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -28,6 +29,19 @@ from .relations import enumerate_relations
 from .shuffle import ext_shuffle, stuffle
 from .symbols import symbol_product
 from .zeta import DEFAULT_MAX_N, verify_homomorphism, zeta
+
+
+# an argument of over 60 characters as argparse echoes it: quoted, as in
+# "invalid int value: '...'", or bare, as in "unrecognized arguments: ..."
+_ECHO = re.compile(r"'[^']{60,}'|\"[^\"]{60,}\"|\S{61,}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose error line cuts each long argument it
+    echoes as ``_clip`` does; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        super().error(_ECHO.sub(lambda m: _clip(m[0]), message))
 
 
 def _finite(x):
@@ -190,7 +204,7 @@ def _cmd_relations(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extshuffle",
         description="Extended shuffle products, Chen symbols/fractions, and "
         "numeric evaluation of convergent nested zeta series.",

@@ -10,94 +10,38 @@ with a cumulative dynamic program: writing ``B_0(m) = 1`` and
 
 the truncated sum is ``B_k(N)``.  Level ``j`` depends on the composition only
 through its innermost suffix ``(s(k-j+1), ..., sk)``, so compositions that
-share a suffix share that level.  Every evaluation is a batch, sorted by
-reversed entries: the distinct suffixes of its compositions form a trie, and
-the sweep runs the trie level by level, level ``j`` as one 2-D block with a
-row per distinct suffix of length ``j``.  In that order the longest suffix a
-composition shares with any earlier one is the one it shares with its
-predecessor, so one pass over those shared lengths finds each one's new
-suffixes, and one dictionary numbers them as trie nodes, whose table rows
-and parents are kept as index arrays.  A row's terms are ``n**-s`` (from a
-table of the batch's distinct exponents) times its parent row shifted by
-one, formed in float64.  A level is summed in one vectorised
-pass: each row in runs of ``_RUN`` values in float64, and the run totals and
-the carry from the previous stretch in ``np.longdouble``, extended precision
-where the platform has it.  Blocked summation like this keeps the error near
+share a suffix share that level, and a batch costs O(distinct suffixes * N)
+instead of O(N**depth).
+
+``zeta``, ``zeta_of_lincomb`` and ``verify_homomorphism`` all go through
+``_combine``, which sends the terms missing from ``_MEMO`` to ``_evaluate``
+in one batch.  ``_evaluate`` sweeps the batch to the first cutoff
+``_START_N`` with ``_advance``, extrapolates each composition's partial sums
+on ``_grid(cutoff)`` with ``_extrapolate``, and, for those whose
+``est_error`` is not yet below ``tol / 2``, doubles the cutoff up to
+``max_n`` and sweeps on from their carries.  ``_advance`` cuts ``n`` into
+stretches, plans the batch's chunks and their tries once per stretch width
+(``_plan``, ``_trie``), and sweeps each chunk level by level
+(``_sweep_trie``) in this thread's workspace (``_workspace``).
+
+Terms are formed in float64 and each row is summed in runs of ``_RUN``
+values in float64; only the run totals' prefix sums and the carries between
+stretches are ``np.longdouble``, extended precision where the platform has
+it.  Blocked summation like this keeps the error near
 ``(_RUN + N / _RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci.
-Comput. 1993).  A row interleaves its two halves, so one accumulate on its
-complex128 view, whose add is two float64 adds, sums two runs at once.  The
-cost is O(distinct suffixes * N) instead of O(N**depth).
+Comput. 1993).
 
-The sweep advances through ``n`` in stretches that end at every cutoff and
-span at most ``_PIECE`` values.  Each stretch takes the batch in chunks of
-consecutive compositions whose tries hold at most ``_BLOCK_BYTES`` of
+Every row is computed by the same operations whatever else is in its batch,
+and each fit uses only elementwise products and a sum along one row, so a
+composition's result is bitwise the same alone or in any batch, and one
+memo of estimates serves every caller.
+
+Memory stays bounded whatever the batch size: a stretch spans at most
+``_PIECE`` values of ``n``, and a chunk's block at most ``_BLOCK_BYTES`` of
 float64 rows (a composition's own suffixes are never split, so one deep
-enough composition may exceed it).  Memory therefore stays bounded whatever
-the batch size.  A chunk pass costs a fixed handful of numpy calls per level
-and one product per row besides its arithmetic, and most batches are short
-sweeps to the first cutoff, so the block is sized to take a typical batch
-whole: 256 rows of that cutoff's width, 1,024.  The chunks and their tries
-depend only on the stretch's width, so the same pass plans them once per
-width for all stretches of a sweep.  Each thread sweeps in a workspace of
-its own: one float64 buffer that holds the values of ``n``, the power table
-and the block, with the row views the sweep reads through.  At the first
-cutoff it has the ``(1 + powers + block rows) * 1,024`` values asked for,
-about 2 MiB once a batch has filled a chunk.  A wider stretch that needs
-more reserves room for a full block and an equally large power table,
-``(1 + 2 * budget) * width`` values (4.5 MiB at ``_PIECE``): deeper sweeps
-ask for more rows one after another, and each new buffer is faulted in by
-the kernel page by page, where one reservation of at least 4 MiB is faulted
-once, in huge pages where the kernel gives them.  The buffer is replaced
-only by a request larger than it, never shrunk, and lives as long as the
-thread, so a thread that has swept a wide stretch keeps 4.5 MiB.  A row's
-terms are formed in place in the block, so once the workspace has grown a
-sweep allocates nothing the size of a stretch.  The floating-point
-operations and their order are those of a sweep that gathers each level's
-table rows and parents into temporaries; the tests keep that sweep as a
-reference and check the two bit for bit.  Every row is computed by the same
-operations whatever else is in its batch, and each fit below uses only
-elementwise products and a sum along one row, so a composition's result is
-bitwise the same alone or in any batch.
-
-``zeta`` extrapolates instead of summing to a distant cutoff.  A convergent
-series with integer entries has the truncation expansion
-
-    S(N) ~ zeta + sum over i >= 1, 0 <= j < depth of c_ij (log N)**j / N**i
-
-(Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 2001; Crandall, Math.
-Comp. 1998).  One sweep to ``N = 2**10`` reads ``S`` on a geometric grid of
-about 8 points per octave from 64 to ``N``, straight out of the block's
-cumulative array, and fits the expansion by least squares, truncated after
-order ``p`` (the powers ``1/N**i`` with ``i <= p``).  The constant term of a
-fit is one dot product with a row that depends only on the grid, the depth
-and the order; those rows are computed once and cached.  The design matrices
-are ill-conditioned, so float64 cannot solve them: the columns are scaled
-exactly to integers, their Gram matrix is formed exactly in integers, its
-Cholesky factor is computed in 80-digit decimals, and each row is summed
-exactly and rounded to float64 once (the normal equations, as in Bjorck,
-Numerical Methods for Least Squares Problems, SIAM 1996).
-
-The error estimate compares four fits: orders ``p`` and ``p - 1``, each on
-the full grid and on the grid without its lowest quarter.  ``value`` is the
-order-``p`` fit on the full grid.  ``est_error`` is twice its largest
-disagreement with the other three, plus a rounding floor
-``||row||_1 * eps * max|S|`` for the largest row of the four.  The
-disagreement with order ``p - 1`` is about the error of order ``p - 1``, so
-twice it covers the error of order ``p`` whenever that order is at least a
-third more accurate; a single disagreement fell up to 17% short on deep
-compositions whose expansion is barely resolved.  Every order ``p >= 2``
-whose ``1 + p * depth`` unknowns are at most half the grid points (and
-``p <= 8``) is tried, and the one with the smallest ``est_error`` is kept.
-
-The estimate is ``converged`` once ``est_error < tol / 2``, and the
-composition leaves the batch.  For the others the cutoff doubles, clamped to
-``max_n``, the sweep continues from their carries, and the grid extends to
-the new cutoff; ``cutoff`` is the last ``N`` summed, and ``max_n`` is only a
-fallback cap.  The error estimate is empirical, not a proven bound.  A
-tolerance below the rounding floor can never converge, and a series whose
-expansion is not resolved by ``max_n`` reports ``converged=False`` at the cap
-rather than raising.  Partial sums that overflow float64 raise
-``ValueError`` once their cutoff is swept.
+enough composition may exceed it).  A thread's workspace lives as long as
+the thread and is sized to the largest stretch it has swept: typically
+about 2 MiB at the first cutoff and 4.5 MiB past it.
 """
 
 from __future__ import annotations
@@ -177,8 +121,7 @@ def _trie(chunk, shared, power_row):
     row ``which[i]``, ``n**-suffixes[i][0]``, times the sums of node
     ``parent[i]`` above the first level; and the end of each level.  One
     dictionary by suffix numbers the nodes; ``rows[c]`` is ``chunk[c]``'s.
-    ``rows``, ``which`` and ``parent`` are index arrays, made once per plan
-    instead of converted from lists at every level of every sweep."""
+    ``rows``, ``which`` and ``parent`` are index arrays."""
     import numpy as np
 
     levels = [[] for _ in range(max(map(len, chunk)))]
@@ -207,7 +150,8 @@ def _workspace(first, width, powers, block):
     at the first cutoff's width by one of the size asked for, and past it by
     one with room for a block of ``_BLOCK_BYTES`` and as many power rows, so
     that a thread's deeper sweeps reuse it instead of replacing it at each
-    depth.  It is never shrunk; numpy releases the GIL inside ufuncs, so
+    depth, each new buffer faulted in by the kernel page by page.  It is
+    never shrunk; numpy releases the GIL inside ufuncs, so
     threads must not share it.  The lists are cut from row views of the
     buffer kept for each width, as many rows as asked for at that width so
     far; they are dropped before the buffer grows, so a replaced buffer is
@@ -234,18 +178,6 @@ def _workspace(first, width, powers, block):
         np.add(_LOCAL.steps[:half], start, out=whole[0, col::2])
     shifted = after[1 : 1 + powers], after[1 + powers : rows], before[1 + powers : rows]
     return whole[0], whole[1 : 1 + powers], whole[1 + powers :].reshape(block, half, 2), shifted
-
-
-@lru_cache(maxsize=64)
-def _first_powers(power):
-    """``n**power`` for ``n`` from 1 to ``_START_N`` in a workspace row's
-    order (see ``_workspace``), read-only as the cache shares it: the first
-    stretch of every estimate, whatever its batch."""
-    import numpy as np
-
-    row = np.power(np.arange(1.0, _START_N + 1).reshape(2, -1).T.ravel(), power)
-    row.flags.writeable = False
-    return row
 
 
 def _sweep_trie(trie, table, carries, sums, shifted):
@@ -326,13 +258,11 @@ def _advance(comps, pos, target, carries, grid, out):
     and at every ``_PIECE``-th value after ``pos``, whatever the batch.  The
     chunks and tries of a stretch depend only on its width, so each width's
     ``_plan`` is built once per call, and each chunk is swept once per
-    stretch, its grid points read from its compositions' rows alone.  The
-    power table of the first stretch, the same for every batch, is copied
-    from ``_first_powers``.  Each stretch works in this thread's workspace
-    (see ``_workspace``), so a sweep allocates nothing the size of a
-    stretch once the workspace has grown; zero terms pad it to whole run
-    pairs.  ``ValueError`` names any composition whose sums in ``out`` are
-    not finite.
+    stretch, its grid points read from its compositions' rows alone.  Each
+    stretch works in this thread's workspace (see ``_workspace``), so a
+    sweep allocates nothing the size of a stretch once the workspace has
+    grown; zero terms pad it to whole run pairs.  ``ValueError`` names any
+    composition whose sums in ``out`` are not finite.
     """
     import numpy as np
 
@@ -354,11 +284,8 @@ def _advance(comps, pos, target, carries, grid, out):
             # one composition's, and never more than the batch's entries
             block = min(max(budget, longest), entries)
             ms, table, sums, shifted = _workspace(first, width, len(powers), block)
-            for i, power in enumerate(powers):
-                if first == 1 and width == _START_N:  # where every estimate starts
-                    table[i] = _first_powers(power)
-                else:
-                    np.power(ms, power, out=table[i])
+            for power, row in zip(powers, table):
+                np.power(ms, power, out=row)
             pad, half = table.reshape(len(powers), -1, 2), width // 2
             pad[:, count:, 0] = pad[:, max(0, count - half) :, 1] = 0
             swept = {}
@@ -419,7 +346,9 @@ def _constant_rows(columns, sizes):
     factors ``G_m``, so one forward substitution ``L z = e_0`` serves every
     ``m``, then one back substitution ``L_m^T x = z[:m]`` per ``m``.  Each row
     is summed exactly in integers, with ``x`` as exact decimals in fixed point,
-    and rounded to float64 once.
+    and rounded to float64 once.  These are the normal equations (Bjorck,
+    Numerical Methods for Least Squares Problems, SIAM 1996), solved this way
+    because the design matrices are too ill-conditioned for float64.
     """
     import numpy as np
 
@@ -483,6 +412,26 @@ def _fit_rows(cutoff, k):
 def _extrapolate(sums, cutoff, k):
     """``(values, est_errors)`` for each row of ``sums``, the partial sums of a
     depth-``k`` composition on ``_grid(cutoff)``.
+
+    A convergent series with integer entries has the truncation expansion
+
+        S(N) ~ zeta + sum over i >= 1, 0 <= j < depth of c_ij (log N)**j / N**i
+
+    (Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 2001; Crandall,
+    Math. Comp. 1998).  A value is the constant term of its least-squares fit
+    truncated after order ``p`` (the powers ``1/N**i`` with ``i <= p``), one
+    dot product with a row of ``_fit_rows``.  Four fits are compared: orders
+    ``p`` and ``p - 1``, each on the full grid and on the grid without its
+    lowest quarter.  ``value`` is the order-``p`` fit on the full grid, and
+    ``est_error`` twice its largest disagreement with the other three, plus a
+    rounding floor ``||row||_1 * eps * max|S|`` for the largest row of the
+    four.  The disagreement with order ``p - 1`` is about the error of order
+    ``p - 1``, so twice it covers the error of order ``p`` whenever that
+    order is at least a third more accurate; a single disagreement fell up to
+    17% short on deep compositions whose expansion is barely resolved.  Of
+    the orders ``p >= 2`` the one with the smallest ``est_error`` is kept.
+    The estimate is empirical, not a proven bound, and a tolerance below its
+    rounding floor can never be met.
 
     A row's fits are elementwise products summed along that row, not a matrix
     product whose rounding could depend on how many rows there are.
@@ -569,8 +518,8 @@ def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEs
     """Estimate the series by extrapolating its partial sums to ``N = infinity``.
 
     Fits the truncation expansion to a sweep up to ``2**10`` and doubles the
-    cutoff, up to ``max_n``, until the fits agree within ``tol / 2`` (see the
-    module docstring).  An estimate that does not get there by ``max_n`` is
+    cutoff, up to ``max_n``, until the fits agree within ``tol / 2`` (see
+    ``_extrapolate``).  An estimate that does not get there by ``max_n`` is
     reported as ``converged=False``, not an exception.  ``tol`` must be
     positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``
     and be at most ``2**53``, where float64 ``n`` stops being exact; otherwise

@@ -82,6 +82,27 @@ def test_an_over_long_argument_gives_a_short_error_line(capsys):
     assert err.startswith("error: ") and " at position 1 in " in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "[2]", "--max-n"],
+        ["verify", "[2]", "[3]", "--tol"],
+        ["fraction-eval", "f([1];[1])", "--seed"],
+        ["relations", "--min-entry", "1", "--max-entry", "2", "--max-depth"],
+        ["relations", "--max-depth", "1", "--max-entry", "2", "--min-entry"],
+        ["relations", "--max-depth", "1", "--min-entry", "1", "--max-entry"],
+    ],
+    ids=["max-n", "tol", "seed", "max-depth", "min-entry", "max-entry"],
+)
+def test_an_over_long_option_value_is_echoed_short(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "x" * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {argv[-1]}: invalid " in err and "Traceback" not in err
+    assert max(map(len, err.splitlines())) <= 200
+
+
 def _comp_arg(entries):
     return "[" + ",".join(map(str, entries)) + "]"
 
