@@ -37,11 +37,13 @@ _ECHO = re.compile(r"'[^']{60,}'|\"[^\"]{60,}\"|\S{61,}")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose error line cuts each long argument it
-    echoes as ``_clip`` does; its subcommand parsers are of this class too."""
+    """An ``ArgumentParser`` whose usage errors are one ``error:`` line of at
+    most 200 characters, without the usage text, each long argument it
+    echoes cut as ``_clip`` does; its subcommand parsers are of this class too."""
 
     def error(self, message):
-        super().error(_ECHO.sub(lambda m: _clip(m[0]), message))
+        line = "error: " + _ECHO.sub(lambda m: _clip(m[0]), message)
+        self.exit(2, (line if len(line) <= 200 else line[:197] + "...") + "\n")
 
 
 def _finite(x):

@@ -387,10 +387,13 @@ def _fit_rows(cutoff, k):
     without its lowest quarter.  ``rows[p - 1]`` is the order-``p`` row over
     ``grid[start:]`` and ``norms`` their 1-norms.  Orders run up to the
     largest whose ``1 + p * k`` unknowns are at most half the grid points,
-    capped at ``_MAX_ORDER``; there may be none.  ``_constant_rows`` solves
-    the normal equations of the float64 columns with their exact Gram matrix,
-    so each entry is the exact row, to 80-digit accuracy, rounded once."""
+    capped at ``_MAX_ORDER``; there may be none.  Each entry is the exact
+    row, to 80-digit accuracy, rounded once: ``_constant_rows`` solves for
+    it, or at the first cutoff ``_rowfile.rows`` reads the solver's bits
+    from the package."""
     import numpy as np
+
+    from ._rowfile import rows as stored
 
     grid = _grid(cutoff).astype(np.float64)
     orders = min(_MAX_ORDER, (len(grid) // 2 - 1) // k)
@@ -403,8 +406,7 @@ def _fit_rows(cutoff, k):
         for i in range(1, orders + 1):
             columns += [t**i * u**j for j in range(k)]
         sizes = range(1 + k, len(columns) + 1, k)
-        rows = np.array(_constant_rows(columns, sizes)) if orders else np.empty((0, len(n)))
-        rows.flags.writeable = False  # shared by every caller through the cache
+        rows = stored(columns, sizes, _constant_rows) if orders else np.empty((0, len(n)))
         fits.append((start, rows, np.abs(rows).sum(axis=1)))
     return tuple(fits)
 

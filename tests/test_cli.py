@@ -474,6 +474,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["x" * 5000], "error: argument command: invalid choice: 'xxx"),
+        (["verify", "[2]"], "error: the following arguments are required: b"),
+        (["zeta", "[2]", "--tol", "small"], "error: argument --tol: invalid float value: 'small'"),
+    ],
+    ids=["long subcommand", "missing positional", "bad option value"],
+)
+def test_an_argparse_usage_error_is_one_short_error_line(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(shown) and "usage" not in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 201
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -24,7 +26,9 @@ from extshuffle import (
     zeta_truncated,
 )
 from extshuffle.convergence import is_convergent
+from extshuffle import _rowfile
 from extshuffle.zeta import _constant_rows, _evaluate, _fit_rows
+from make_fit_rows import build as build_rows_file
 from reference_rows import reference_rows
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
@@ -567,6 +571,66 @@ def test_constant_rows_scale_a_subnormal_entry_exactly():
     expected = reference_rows(columns, prec=120)
     assert rows[0] == [0.2] * 5
     assert np.abs(np.array(rows) - expected).max() <= 1e-15
+
+
+def test_a_fresh_import_reads_no_rows_file_and_a_fit_loads_no_openssl():
+    code = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0])))\n"
+        "import extshuffle\n"
+        "print(sum(p.endswith('fit_rows.bin') for p in opened), 'extshuffle._rowfile' in sys.modules)\n"
+        "extshuffle.zeta((2,), 1e-6)\n"
+        "print(sum(p.endswith('fit_rows.bin') for p in opened), '_hashlib' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # read once, at the first fit, and digested without hashlib, which loads
+    # OpenSSL and 3.7 MB of resident memory
+    assert done.stdout.split() == ["0", "False", "1", "False"]
+
+
+def test_columns_one_ulp_off_miss_the_table_and_get_the_solvers_rows(monkeypatch):
+    monkeypatch.setattr(_rowfile, "_table", _rowfile.load(_rowfile.PATH))
+    k = 6
+    columns = fit_columns(1024, k)[0]
+    sizes = range(1 + k, len(columns) + 1, k)
+    nudged = [col.copy() for col in columns]
+    nudged[1][5] = np.nextafter(nudged[1][5], 2.0)  # t at the sixth grid point, one ulp up
+    solved = []
+    rows = _rowfile.rows(nudged, sizes, lambda *args: solved.append(args) or _constant_rows(*args))
+    assert len(solved) == 1 and _rowfile.digest(nudged, sizes) not in _rowfile.load(_rowfile.PATH)
+    assert rows.tobytes() == np.array(_constant_rows(nudged, sizes)).tobytes()
+    # the rows moved far beyond any tolerance a near match could have used
+    exact = np.array(_constant_rows(columns, sizes))
+    assert np.abs(rows - exact).max() > 1e-4 * np.abs(exact).max()
+
+
+def test_every_row_set_read_from_the_file_is_the_solvers_bitwise():
+    shipped = _rowfile.load(_rowfile.PATH)
+    assert len(shipped) == 30  # both windows of the 15 depths with a fit order at 2**10
+    for k in range(1, 16):
+        for (_, rows, _), columns in zip(_fit_rows(1024, k), fit_columns(1024, k)):
+            sizes = range(1 + k, len(columns) + 1, k)
+            solved = np.array(_constant_rows(columns, sizes)).tobytes()
+            assert rows.tobytes() == solved
+            hit = shipped.get(_rowfile.digest(columns, sizes))
+            assert hit is None or hit.tobytes() == solved
+
+
+def test_the_generator_reproduces_the_rows_file(monkeypatch):
+    monkeypatch.setattr(_rowfile, "_table", None)  # build() replaces it; restored after
+    built = build_rows_file()
+    solved, shipped = _rowfile._table, _rowfile.load(_rowfile.PATH)
+    with open(_rowfile.PATH, "rb") as f:
+        committed = f.read()
+    assert len(solved) == len(shipped) == 30
+    if solved.keys() == shipped.keys():
+        assert built == committed
+    else:  # another numpy's columns: the windows it shares with the file have the file's rows
+        assert all(solved[key].tobytes() == shipped[key].tobytes() for key in solved.keys() & shipped.keys())
 
 
 def test_a_numpy_tolerance_leaks_no_numpy_types_and_a_bool_one_is_rejected(monkeypatch):
