@@ -218,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
 
     numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="cutoff cap, above 1024, at most 2**53")
+    numeric.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_N, help="accepted and checked, bounds nothing: above 1024, at most 2**53"
+    )
 
     p = sub.add_parser("shuffle", parents=[json_flag], help="extended shuffle product")
     p.add_argument("a", help="composition, e.g. '[1,-2]' or '1'")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convergent)
 
     p = sub.add_parser(
-        "zeta", parents=[json_flag, numeric], help="estimate a convergent nested series"
+        "zeta", parents=[json_flag, numeric], help="a convergent nested series with a proven error bound"
     )
     p.add_argument("composition")
     p.add_argument("--tol", type=float, default=1e-6, help="target tolerance")

@@ -49,7 +49,7 @@ class CertifiedRelation(
 ):
     """A relation with the series of its difference: it ``passed`` when the
     estimate converged and the residual is within the tolerance plus the
-    estimated error."""
+    error bound."""
 
     __slots__ = ()
 
@@ -83,8 +83,8 @@ def enumerate_relations(
 
     Pairs are unordered (the quasi-shuffle side is symmetric) and scanned in
     canonical order, so the output is deterministic.  Each emitted relation
-    carries the numeric residual of its series, the accumulated empirical
-    error and whether it passed (see ``CertifiedRelation``).  No pair is
+    carries the numeric residual of its series, its error bound and whether
+    it passed (see ``CertifiedRelation``).  No pair is
     skipped (module note).  Every relation is built first, and the union of
     their terms is evaluated in one batch.
     """

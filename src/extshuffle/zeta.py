@@ -1,4 +1,10 @@
-"""Numeric evaluation of convergent nested zeta series.
+"""Convergent nested zeta series: enclosed exactly, and summed directly.
+
+``zeta``, ``zeta_of_lincomb`` and ``verify_homomorphism`` all go through
+``_combine``, which sends the terms missing from ``_MEMO`` to ``_evaluate``
+in one batch.  ``_evaluate`` encloses each series in integers (``_exact``:
+the Faulhaber reduction, then Hölder sums at a precision set by ``tol``) and
+rounds the enclosure to float64 once, so ``est_error`` is a proven bound.
 
 ``zeta_truncated`` computes the partial sum over ``n1 <= N`` of
 
@@ -11,37 +17,16 @@ with a cumulative dynamic program: writing ``B_0(m) = 1`` and
 the truncated sum is ``B_k(N)``.  Level ``j`` depends on the composition only
 through its innermost suffix ``(s(k-j+1), ..., sk)``, so compositions that
 share a suffix share that level, and a batch costs O(distinct suffixes * N)
-instead of O(N**depth).
-
-``zeta``, ``zeta_of_lincomb`` and ``verify_homomorphism`` all go through
-``_combine``, which sends the terms missing from ``_MEMO`` to ``_evaluate``
-in one batch.  ``_evaluate`` sweeps the batch to the first cutoff
-``_START_N`` with ``_advance``, extrapolates each composition's partial sums
-on ``_grid(cutoff)`` with ``_extrapolate``, and, for those whose
-``est_error`` is not yet below ``tol / 2``, doubles the cutoff up to
-``max_n`` and sweeps on from their carries.  ``_advance`` cuts ``n`` into
-stretches, plans the batch's chunks and their tries once per stretch width
-(``_plan``, ``_trie``), and sweeps each chunk level by level
-(``_sweep_trie``) in this thread's workspace (``_workspace``).
-
-Terms are formed in float64 and each row is summed in runs of ``_RUN``
-values in float64; only the run totals' prefix sums and the carries between
-stretches are ``np.longdouble``, extended precision where the platform has
-it.  Blocked summation like this keeps the error near
-``(_RUN + N / _RUN) * eps`` instead of ``N * eps`` (Higham, SIAM J. Sci.
-Comput. 1993).
-
-Every row is computed by the same operations whatever else is in its batch,
-and each fit uses only elementwise products and a sum along one row, so a
-composition's result is bitwise the same alone or in any batch, and one
-memo of estimates serves every caller.
-
-Memory stays bounded whatever the batch size: a stretch spans at most
-``_PIECE`` values of ``n``, and a chunk's block at most ``_BLOCK_BYTES`` of
-float64 rows (a composition's own suffixes are never split, so one deep
-enough composition may exceed it).  A thread's workspace lives as long as
-the thread and is sized to the largest stretch it has swept: typically
-about 2 MiB at the first cutoff and 4.5 MiB past it.
+instead of O(N**depth).  ``_advance`` cuts ``n`` into stretches of at most
+``_PIECE``, plans the batch's chunks of at most ``_BLOCK_BYTES`` and their
+tries once per stretch width (``_plan``, ``_trie``), and sweeps each chunk
+level by level (``_sweep_trie``) in this thread's workspace
+(``_workspace``), so memory stays bounded whatever the batch size.  Terms
+and runs of ``_RUN`` values are summed in float64, and only the run totals'
+prefix sums and the carries in ``np.longdouble``: blocked summation keeps
+the error near ``(_RUN + N / _RUN) * eps`` instead of ``N * eps`` (Higham,
+SIAM J. Sci. Comput. 1993).  Every row is computed by the same operations
+whatever else is in its batch, so its sums are bitwise the same in any.
 """
 
 from __future__ import annotations
@@ -50,12 +35,10 @@ import math
 import sys
 import threading
 from collections import namedtuple
-from decimal import Decimal, localcontext
-from functools import lru_cache
 from itertools import accumulate
 from numbers import Integral, Real
-from operator import mul
 
+from ._exact import check_budget, enclose
 from .algebra import Composition, LinComb, _clip, _Record, composition, depth, format_composition as _fmt
 from .convergence import require_convergent
 from .shuffle import ext_shuffle
@@ -69,16 +52,13 @@ _PIECE = 1 << 16  # longest stretch of n swept at once
 # level outweighed the arithmetic
 _BLOCK_BYTES = 1 << 21
 _RUN = 256  # values summed in float64 before a run total joins the long-double prefix
-_GRID_START = 64
-_GRID_PER_OCTAVE = 8
-_MAX_ORDER = 8
-_EPS = 2.0**-52  # float64 machine epsilon; the grid sums are read as float64
 _MAX_CUTOFF = 1 << 53  # the sweep holds n as float64, which is exact up to here
 _LOCAL = threading.local()  # each thread's sweep workspace, see _workspace
 
 
 class ZetaEstimate(_Record, namedtuple("ZetaEstimate", "value cutoff est_error converged")):
-    """A series value with its empirical error metadata."""
+    """A series value, a proven bound on its error, the number of terms
+    summed, and whether the bound is below half the tolerance."""
 
     __slots__ = ()
 
@@ -320,142 +300,6 @@ def zeta_truncated(comp: Composition, cutoff: int) -> float:
     return float(out[0, 0])
 
 
-@lru_cache(maxsize=None)
-def _grid(cutoff):
-    """The fitting grid for ``cutoff``, a read-only integer array: about
-    ``_GRID_PER_OCTAVE`` points per octave from ``_GRID_START`` up to and
-    including ``cutoff``."""
-    import numpy as np
-
-    steps = math.floor(_GRID_PER_OCTAVE * math.log2(cutoff / _GRID_START))
-    points = {round(_GRID_START * 2 ** (i / _GRID_PER_OCTAVE)) for i in range(steps + 1)}
-    grid = np.array(sorted(p for p in points | {cutoff} if p <= cutoff))
-    grid.flags.writeable = False
-    return grid
-
-
-def _constant_rows(columns, sizes):
-    """Rows ``r_m``, one for each ``m`` in ``sizes``, such that ``r_m @ y`` is
-    the constant term of the least-squares fit of ``y`` on ``columns[:m]``.
-
-    ``columns[0]`` is the constant column.  The row is ``A_m x`` with
-    ``G_m x = e_0``, where ``A_m`` holds the first ``m`` columns and ``G_m`` is
-    the leading block of the Gram matrix ``G = A^T A``.  The float64 columns
-    are scaled exactly to integers at one power of two, so ``G`` is exact.
-    ``G = L L^T`` is factored in 80-digit decimals, and ``L``'s leading block
-    factors ``G_m``, so one forward substitution ``L z = e_0`` serves every
-    ``m``, then one back substitution ``L_m^T x = z[:m]`` per ``m``.  Each row
-    is summed exactly in integers, with ``x`` as exact decimals in fixed point,
-    and rounded to float64 once.  These are the normal equations (Bjorck,
-    Numerical Methods for Least Squares Problems, SIAM 1996), solved this way
-    because the design matrices are too ill-conditioned for float64.
-    """
-    import numpy as np
-
-    scale = 1 << (53 - int(np.frexp(np.array(columns))[1].min()))  # makes every value an integer
-    # scaled exactly as fractions: a subnormal entry's scale would overflow float64
-    a = [[n * scale // d for n, d in map(float.as_integer_ratio, col.tolist())] for col in columns]
-    with localcontext() as ctx:
-        ctx.prec = 80
-        chol, z = [], []
-        for i, col in enumerate(a):
-            row = []
-            for j in range(i):
-                row.append((sum(map(mul, col, a[j])) - sum(map(mul, row, chol[j]))) / chol[j][j])
-            row.append((Decimal(sum(map(mul, col, col))) - sum(map(mul, row, row))).sqrt())
-            chol.append(row)
-            z.append(((0 if i else 1) - sum(map(mul, row, z))) / row[i])
-        below = [[chol[k][i] for k in range(i + 1, len(a))] for i in range(len(a))]
-        by_point = list(zip(*a))
-        rows = []
-        for m in sizes:
-            x = [Decimal(0)] * m
-            for i in reversed(range(m)):
-                x[i] = (z[i] - sum(map(mul, below[i], x[i + 1 : m]))) / chol[i][i]
-            # x[i] has at most 80 digits, so x[i] * 10**shift is an integer
-            shift = max(0, ctx.prec - 1 - min(v.adjusted() for v in x))
-            fixed = [int(v.scaleb(shift)) for v in x]
-            den = 10**shift
-            rows.append([sum(map(mul, point, fixed)) * scale / den for point in by_point])
-        return rows
-
-
-@lru_cache(maxsize=None)
-def _fit_rows(cutoff, k):
-    """Constant-term rows of the truncation-expansion fits for depth ``k`` at
-    ``cutoff``: ``(start, rows, norms)`` for the full grid and for the grid
-    without its lowest quarter.  ``rows[p - 1]`` is the order-``p`` row over
-    ``grid[start:]`` and ``norms`` their 1-norms.  Orders run up to the
-    largest whose ``1 + p * k`` unknowns are at most half the grid points,
-    capped at ``_MAX_ORDER``; there may be none.  Each entry is the exact
-    row, to 80-digit accuracy, rounded once: ``_constant_rows`` solves for
-    it, or at the first cutoff ``_rowfile.rows`` reads the solver's bits
-    from the package."""
-    import numpy as np
-
-    from ._rowfile import rows as stored
-
-    grid = _grid(cutoff).astype(np.float64)
-    orders = min(_MAX_ORDER, (len(grid) // 2 - 1) // k)
-    fits = []
-    for start in (0, len(grid) // 4):
-        n = grid[start:]
-        t = n[0] / n
-        u = np.log(n / n[0]) / np.log(n[-1] / n[0])
-        columns = [np.ones_like(n)]
-        for i in range(1, orders + 1):
-            columns += [t**i * u**j for j in range(k)]
-        sizes = range(1 + k, len(columns) + 1, k)
-        rows = stored(columns, sizes, _constant_rows) if orders else np.empty((0, len(n)))
-        fits.append((start, rows, np.abs(rows).sum(axis=1)))
-    return tuple(fits)
-
-
-def _extrapolate(sums, cutoff, k):
-    """``(values, est_errors)`` for each row of ``sums``, the partial sums of a
-    depth-``k`` composition on ``_grid(cutoff)``.
-
-    A convergent series with integer entries has the truncation expansion
-
-        S(N) ~ zeta + sum over i >= 1, 0 <= j < depth of c_ij (log N)**j / N**i
-
-    (Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 2001; Crandall,
-    Math. Comp. 1998).  A value is the constant term of its least-squares fit
-    truncated after order ``p`` (the powers ``1/N**i`` with ``i <= p``), one
-    dot product with a row of ``_fit_rows``.  Four fits are compared: orders
-    ``p`` and ``p - 1``, each on the full grid and on the grid without its
-    lowest quarter.  ``value`` is the order-``p`` fit on the full grid, and
-    ``est_error`` twice its largest disagreement with the other three, plus a
-    rounding floor ``||row||_1 * eps * max|S|`` for the largest row of the
-    four.  The disagreement with order ``p - 1`` is about the error of order
-    ``p - 1``, so twice it covers the error of order ``p`` whenever that
-    order is at least a third more accurate; a single disagreement fell up to
-    17% short on deep compositions whose expansion is barely resolved.  Of
-    the orders ``p >= 2`` the one with the smallest ``est_error`` is kept.
-    The estimate is empirical, not a proven bound, and a tolerance below its
-    rounding floor can never be met.
-
-    A row's fits are elementwise products summed along that row, not a matrix
-    product whose rounding could depend on how many rows there are.
-    """
-    import numpy as np
-
-    (_, full_rows, full_norms), (start, short_rows, short_norms) = _fit_rows(cutoff, k)
-    if len(full_rows) < 2:
-        return sums[:, -1], np.full(len(sums), math.inf)
-    full = (sums[:, None, :] * full_rows).sum(axis=2)
-    short = (sums[:, None, start:] * short_rows).sum(axis=2)
-    floor = np.maximum(full_norms, short_norms) * _EPS * np.abs(sums).max(axis=1, keepdims=True)
-    value = full[:, 1:]  # orders p + 1 against p
-    spread = np.maximum(
-        np.maximum(abs(full[:, :-1] - value), abs(short[:, 1:] - value)), abs(short[:, :-1] - value)
-    )
-    est = 2 * spread + np.maximum(floor[:, 1:], floor[:, :-1])
-    best = est.argmin(axis=1)
-    pick = np.arange(len(sums))
-    return value[pick, best], est[pick, best]
-
-
 def _check_cap(name, value):
     """``TypeError`` unless ``value`` is an integer other than a bool,
     ``ValueError`` if it is above ``_MAX_CUTOFF``."""
@@ -473,61 +317,41 @@ def _check_numeric(tol, max_n):
         raise ValueError(f"tolerance must be positive and finite, got {_clip(tol)}")
     _check_cap("max_n", max_n)
     if max_n <= _START_N:
-        raise ValueError(
-            f"max_n must exceed {_START_N}, the first cutoff, so that the sweep can "
-            f"double past it; got {_clip(max_n)}"
-        )
+        raise ValueError(f"max_n must exceed {_START_N}; got {_clip(max_n)}")
     return float(tol)
 
 
 def _evaluate(comps, tol, max_n):
-    """``zeta`` of each of ``comps`` in one batched sweep, as a dict by composition.
-
-    Every composition is checked to be convergent before anything is summed.
-    The cutoff doubles in place from ``_START_N``, clamped to ``max_n``, and
-    each sweep fills the sums on ``_grid(cutoff)``, the grid of its fits; all
-    cutoffs but the last are powers of two, so each grid extends the last.
-    """
-    import numpy as np
-
+    """``zeta`` of each of ``comps``, as a dict by composition.  Every
+    composition is checked to be convergent and within the reduction budget
+    before any is reduced; ``max_n`` is checked by the callers and bounds
+    nothing here."""
     require_convergent(*comps)
-    found = {(): ZetaEstimate(1.0, 0, 0.0, True)} if () in comps else {}
-    pending = sorted({comp for comp in comps if comp}, key=lambda c: c[::-1])
-    at_grid = np.empty((len(pending), 0))  # pending[i]'s sums on the grid so far
-    carries, pos, cutoff = {}, 0, _START_N
-    while pending:
-        grid = _grid(cutoff)
-        at_grid = np.hstack([at_grid, np.empty((len(pending), len(grid) - at_grid.shape[1]))])
-        carries = _advance(pending, pos, cutoff, carries, grid, at_grid)
-        by_depth, rest = {}, []
-        for i, comp in enumerate(pending):
-            by_depth.setdefault(len(comp), []).append(i)
-        for k, rows in by_depth.items():
-            values, errors = _extrapolate(at_grid[rows], cutoff, k)
-            for i, value, error in zip(rows, values.tolist(), errors.tolist()):
-                if error < tol / 2 or cutoff == max_n:
-                    found[pending[i]] = tuple.__new__(ZetaEstimate, (value, cutoff, error, error < tol / 2))
-                else:
-                    rest.append(i)
-        rest.sort()  # back in the batch's order, by reversed entries
-        pending = [pending[i] for i in rest]
-        at_grid = at_grid[rest]
-        pos, cutoff = cutoff, min(2 * cutoff, max_n)
+    for comp in comps:
+        check_budget(comp)
+    found = {}
+    for comp in comps:
+        if not comp:
+            found[comp] = ZetaEstimate(1.0, 0, 0.0, True)
+            continue
+        center, radius, scale, cutoff = enclose(comp, tol)
+        value = center / scale  # correctly rounded
+        error = math.nextafter(math.nextafter(radius / scale, math.inf) + math.ulp(value) / 2, math.inf)
+        found[comp] = tuple.__new__(ZetaEstimate, (value, cutoff, error, error < tol / 2))
     return found
 
 
 def zeta(comp: Composition, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
-    """Estimate the series by extrapolating its partial sums to ``N = infinity``.
+    """The series of ``comp`` with a proven error bound (see the module note).
 
-    Fits the truncation expansion to a sweep up to ``2**10`` and doubles the
-    cutoff, up to ``max_n``, until the fits agree within ``tol / 2`` (see
-    ``_extrapolate``).  An estimate that does not get there by ``max_n`` is
-    reported as ``converged=False``, not an exception.  ``tol`` must be
-    positive and finite, and ``max_n`` must exceed the first cutoff ``2**10``
-    and be at most ``2**53``, where float64 ``n`` stops being exact; otherwise
-    ``ValueError`` (``TypeError`` for a ``tol`` that is not a real number or a
-    ``max_n`` that is not an integer, or for a bool).  Only then does a
-    divergent ``comp`` raise ``DivergentError``.  This is ``_combine`` of the
+    ``converged`` is whether ``est_error`` is below ``tol / 2``; it is not
+    when ``tol`` is below what float64 can show (about ``2e-16 * |zeta|``).
+    ``tol`` must be positive and finite, and ``max_n``, which bounds nothing
+    and is kept for its callers, must exceed ``2**10`` and be at most
+    ``2**53``; otherwise ``ValueError`` (``TypeError`` for a ``tol`` that is
+    not a real number or a ``max_n`` that is not an integer, or for a bool).
+    Only then does a divergent ``comp`` raise ``DivergentError``, and one
+    beyond the reduction budget ``ValueError``.  This is ``_combine`` of the
     basis element ``comp``.
     """
     return _combine([LinComb.basis(composition(comp))], tol, max_n)[0]
@@ -540,10 +364,20 @@ not depend on the batch that computed it, so threads share the memo safely:
 a lost race only computes an entry twice."""
 
 
+def _fixed(x):
+    """The float ``x`` as an integer multiple of ``2**-1074``, exactly."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
 def _combine(xs, tol, max_n):
     """``zeta_of_lincomb`` of each combination in the list ``xs``, once
     ``tol`` and ``max_n`` are checked.  The terms not in the memo go to
-    ``_evaluate``, its only caller, in one batch that holds each once."""
+    ``_evaluate``, its only caller, in one batch that holds each once.  A
+    combination's coefficient-weighted values and errors are summed exactly,
+    as multiples of ``2**-1074`` over the coefficients' common denominator;
+    the value is rounded once, and ``est_error`` is the weighted errors plus
+    that rounding, rounded up."""
     tol = _check_numeric(tol, max_n)
     memo = _MEMO.setdefault((tol, max_n), {})
     terms = [x.terms() for x in xs]
@@ -552,24 +386,32 @@ def _combine(xs, tol, max_n):
         memo.update(_evaluate(list(missing), tol, max_n))
     estimates = []
     for pairs in terms:
-        total, err, cutoff, converged = 0.0, 0.0, 0, True
+        common = math.lcm(*(coef.denominator for _, coef in pairs))
+        total, bound, cutoff, converged = 0, 0, 0, True
         for comp, coef in pairs:
             value, cut, error, conv = memo[comp]
-            c = float(coef)
-            total += c * value
-            err += abs(c) * error
+            k = coef.numerator * (common // coef.denominator)
+            total += k * _fixed(value)
+            bound += abs(k) * _fixed(error)
             cutoff = max(cutoff, cut)
             converged = converged and conv
-        estimates.append(ZetaEstimate(total, cutoff, err, converged))
+        scale = common << 1074
+        value = total / scale
+        bound += abs(_fixed(value) * common - total)
+        error = bound / scale
+        if _fixed(error) * common < bound:
+            error = math.nextafter(error, math.inf)
+        estimates.append(ZetaEstimate(value, cutoff, error, converged))
     return estimates
 
 
 def zeta_of_lincomb(x: LinComb, tol: float, *, max_n: int = DEFAULT_MAX_N) -> ZetaEstimate:
     """Coefficient-weighted sum of per-term estimates: ``_combine`` of ``x``.
 
-    The reported error is the absolute-coefficient-weighted sum of per-term
-    errors; every term must be convergent.  Terms not yet estimated at this
-    ``tol`` and ``max_n`` are evaluated in one batch.
+    The reported error bounds the absolute-coefficient-weighted sum of
+    per-term errors plus the rounding of the sum; every term must be
+    convergent.  Terms not yet estimated at this ``tol`` and ``max_n`` are
+    evaluated in one batch.
     """
     return _combine([x], tol, max_n)[0]
 
@@ -591,9 +433,9 @@ def verify_homomorphism(
 ) -> HomomorphismReport:
     """Compare the series of the product expansion against the product of series.
 
-    Passes when the two sides agree within ``tol`` plus the accumulated
-    empirical error estimates of both sides, and the estimates of the
-    expansion and of both factors converged.
+    Passes when the two sides agree within ``tol`` plus the error bounds of
+    both sides, and the estimates of the expansion and of both factors
+    converged.
     """
     a = composition(a)
     b = composition(b)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -159,13 +161,18 @@ def test_batched_scan_matches_per_composition_sums():
     assert scan.skipped == ()
     expected = []
     for a, b in pairs:
+        # the weighted sums, exactly, with the value rounded once and the
+        # bound rounded up
         rel = double_shuffle_relation(a, b)
-        total = err = 0.0
+        total = err = Fraction(0)
         for comp, coef in rel.difference.terms():
             est = zeta(comp, tol)
-            total += float(coef) * est.value
-            err += abs(float(coef)) * est.est_error
-        expected.append((a, b, rel.difference, abs(total), err, abs(total) <= tol + err))
+            total += coef * Fraction(est.value)
+            err += abs(coef) * Fraction(est.est_error)
+        value = float(total)
+        err += abs(Fraction(value) - total)
+        bound = float(err) if Fraction(float(err)) >= err else math.nextafter(float(err), math.inf)
+        expected.append((a, b, rel.difference, abs(value), bound, abs(value) <= tol + bound))
     got = [(r.a, r.b, r.difference, r.residual, r.est_error, r.passed) for r in scan.relations]
     assert got == expected
 

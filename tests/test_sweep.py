@@ -1,6 +1,7 @@
 """The series sweep against its gather-based reference, bit for bit, its
 plan of chunks and tries against the set-based chunking, and its workspace:
-no stretch-sized allocation once warm, and no sharing between threads."""
+no stretch-sized allocation once warm, and no sharing between threads.  The
+sweep serves ``zeta_truncated``; batches are swept through ``_advance``."""
 
 import sys
 import threading
@@ -12,9 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extshuffle import ext_shuffle, verify_homomorphism, zeta, zeta_truncated
+from extshuffle import ext_shuffle, zeta_truncated
 from extshuffle.convergence import is_convergent
-from extshuffle.zeta import _BLOCK_BYTES, _PIECE, _START_N, _advance, _evaluate, _grid, _plan, _sweep_trie, _workspace
+from extshuffle.zeta import _BLOCK_BYTES, _PIECE, _START_N, _advance, _plan, _sweep_trie, _workspace
 from reference_sweep import reference_advance, reference_chunks
 
 ZETA_MODULE = sys.modules["extshuffle.zeta"]
@@ -24,12 +25,11 @@ ZETA_MODULE = sys.modules["extshuffle.zeta"]
 # run pairs end in a zero run
 CUTOFFS = [1, 255, 256, 257, 767, 65_536, 65_537, 66_049, 70_001, 131_073]
 
-# zeta(2,1,1,1) needs 2**18 at 1e-10 and shares its suffixes with members
-# that leave the batch at cutoffs from 2**10 to 2**16
+# compositions that share suffixes, swept together to cutoffs from 2**10 to 2**18
 MIXED = [(2, 1, 1, 1), (2,), (3,), (4, -1), (3, 1), (2, 1), (2, 1, 1), (3, 1, 1),
          (5, 1, 1, 1), (4, 1, 1, 1), (3, 1, 1, 1)]
 
-# the rows of one chunk at width 1,024, the first stretch of every estimate
+# the rows of one chunk at width 1,024
 FIRST_ROWS = _BLOCK_BYTES // (8 * 1024)
 
 # 100 product terms with 276 trie nodes: more than one chunk at width 1,024
@@ -37,7 +37,7 @@ PAIRS = [((2, 1), (3, 0, 2)), ((3, 0, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 0, 3),
 PRODUCTS = sorted({comp for a, b in PAIRS for comp in ext_shuffle(a, b).support()})
 
 # one product of the certifier's region (depth 3, entries -1 to 3): 147
-# terms on 383 trie nodes, every one estimated at the first cutoff at 1e-4
+# terms on 383 trie nodes
 CERTIFIER_BATCH = sorted(ext_shuffle((3, 3, 1), (3, 1, 3)).support(), key=lambda c: c[::-1])
 
 convergent = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(tuple).filter(is_convergent)
@@ -62,8 +62,23 @@ def reference_truncated(comp, cutoff):
     return float(out[0, 0])
 
 
-def bits(est):
-    return est.value.hex(), est.cutoff, est.est_error.hex(), est.converged
+def checkpoints(top):
+    """About eight cutoffs per octave from 64 up to and including ``top``."""
+    points = {round(64 * 2 ** (i / 8)) for i in range(8 * (top // 64).bit_length())}
+    return np.array(sorted(p for p in points | {top} if p <= top))
+
+
+def sweep(comps, targets, advance=_advance):
+    """The partial sums of ``comps``, sorted by reversed entries, at every
+    checkpoint up to the last of ``targets``, swept from target to target
+    with their carries; and the last carries."""
+    grid = checkpoints(targets[-1])
+    out = np.zeros((len(comps), len(grid)))
+    carries, pos = {}, 0
+    for target in targets:
+        carries = advance(comps, pos, target, carries, grid, out)
+        pos = target
+    return out, carries
 
 
 def trie_nodes(comps):
@@ -91,7 +106,7 @@ def test_chunked_sweep_with_carries_is_bitwise_the_reference(comps):
     # 1,024; the targets carry the sums across cutoffs and stretches
     comps = sorted(set(comps) | set(PRODUCTS), key=lambda c: c[::-1])
     assert trie_nodes(comps) > FIRST_ROWS
-    grid = _grid(1 << 17)
+    grid = checkpoints(1 << 17)
     new, old = np.zeros((len(comps), len(grid))), np.zeros((len(comps), len(grid)))
     carries = old_carries = {}
     pos = 0
@@ -104,19 +119,18 @@ def test_chunked_sweep_with_carries_is_bitwise_the_reference(comps):
         assert np.array_equal(list(carries.values()), list(old_carries.values()))
 
 
-def evaluate_both(comps, tol, max_n):
-    new = _evaluate(comps, tol, max_n)
-    with mock.patch.object(ZETA_MODULE, "_advance", reference_advance):
-        old = _evaluate(comps, tol, max_n)
-    assert new.keys() == old.keys()
-    for comp in new:
-        assert bits(new[comp]) == bits(old[comp]), comp
-    return new
+def sweep_both(comps, targets):
+    comps = sorted(set(comps), key=lambda c: c[::-1])
+    new, carries = sweep(comps, targets)
+    old, old_carries = sweep(comps, targets, reference_advance)
+    assert new.tobytes() == old.tobytes()
+    assert list(carries) == list(old_carries)
+    assert np.array_equal(list(carries.values()), list(old_carries.values()))
+    return comps, new
 
 
 def test_mixed_cutoff_batch_is_bitwise_the_reference():
-    found = evaluate_both(MIXED, 1e-10, 1 << 24)
-    assert {est.cutoff for est in found.values()} >= {1 << 10, 1 << 18}
+    sweep_both(MIXED, [1 << 10, 1 << 11, 1 << 16, 1 << 18])
 
 
 @settings(max_examples=10)
@@ -124,7 +138,7 @@ def test_mixed_cutoff_batch_is_bitwise_the_reference():
 def test_chunked_batch_is_bitwise_the_reference(comps):
     batch = comps + PRODUCTS
     assert trie_nodes(batch) > FIRST_ROWS
-    evaluate_both(batch, 1e-8, 1 << 14)
+    sweep_both(batch, [1 << 10, 1 << 11, 1 << 14])
 
 
 def test_a_certifier_batch_takes_two_chunk_passes_and_matches_each_composition_alone(monkeypatch):
@@ -135,14 +149,13 @@ def test_a_certifier_batch_takes_two_chunk_passes_and_matches_each_composition_a
         return _sweep_trie(trie, *args)
 
     monkeypatch.setattr(ZETA_MODULE, "_sweep_trie", counted)
-    found = _evaluate(CERTIFIER_BATCH, 1e-4, 1 << 24)
+    found, _ = sweep(CERTIFIER_BATCH, [_START_N])
     monkeypatch.undo()
     assert len(CERTIFIER_BATCH) == 147 and trie_nodes(CERTIFIER_BATCH) == 383
-    assert {est.cutoff for est in found.values()} == {1 << 10}
     # 383 nodes fit two chunks of 256 rows; at 64 rows a chunk they take 7
     assert len(passes) <= 2 and sum(passes) >= 383
-    for comp in CERTIFIER_BATCH:
-        assert bits(_evaluate([comp], 1e-4, 1 << 24)[comp]) == bits(found[comp]), comp
+    for comp, row in zip(CERTIFIER_BATCH, found):
+        assert sweep([comp], [_START_N])[0].tobytes() == row.tobytes(), comp
 
 
 def test_a_warm_sweep_allocates_nothing_the_size_of_a_stretch():
@@ -220,9 +233,8 @@ def test_a_wide_sweep_reserves_its_workspace_once():
 
 def test_a_first_cutoff_workspace_keeps_its_exact_size():
     def work():
-        with mock.patch.dict(ZETA_MODULE._MEMO, clear=True):  # so that both sweep
-            assert zeta((3, 1), 1e-3).cutoff == _START_N
-            assert verify_homomorphism((2,), (3,), 1e-3).passed
+        zeta_truncated((3, 1), _START_N)
+        sweep(sorted(ext_shuffle((2,), (3,)).support(), key=lambda c: c[::-1]), [_START_N])
 
     requests, buffers, size = in_a_fresh_thread(work)
     assert {width for width, _ in requests} == {_START_N} and len(requests) == 2
@@ -241,8 +253,7 @@ def test_threads_sweep_in_their_own_workspaces():
     work = [(comp, sorted(batch, key=lambda c: c[::-1])) for comp, batch in work]
 
     def run(comp, batch):
-        found = _evaluate(batch, 1e-13, 1 << 17)
-        return zeta_truncated(comp, 1 << 17).hex(), {c: bits(est) for c, est in found.items()}
+        return zeta_truncated(comp, 1 << 17).hex(), sweep(batch, [1 << 17])[0].tobytes()
 
     serial = [run(*args) for args in work]
     results = [[] for _ in work]
